@@ -32,6 +32,8 @@ from .grid import (
     build_box,
     build_index_sets,
     build_sobolev,
+    bump_values,
+    hminus_s_inner,
 )
 from .reconstruct import (
     MeasurementRecord,
@@ -99,7 +101,15 @@ def _intervals(obj: dict, where: str) -> list:
 
 
 def parse_problem(doc: dict) -> dict:
-    """Validate a problem document and return the normalized configuration."""
+    """Validate a problem document and return the normalized configuration;
+    a value of the wrong JSON type is reported as a ProblemValidationError."""
+    try:
+        return _parse_problem(doc)
+    except (TypeError, AttributeError) as exc:
+        raise ProblemValidationError(f"malformed problem: {exc}") from exc
+
+
+def _parse_problem(doc: dict) -> dict:
     top_required = {
         "version", "dimension", "box", "s", "omega", "w1", "w2",
         "q", "f", "noise", "scheme", "tau",
@@ -242,13 +252,7 @@ def _profile_callable(profile: dict, kind_region: str):
         return lambda x: np.full(len(x), val)
     if kind == "bump":
         c = float(p["center"]); w = float(p["width"]); a = float(p.get("amplitude", 1.0))
-        def bump(x):
-            t = (np.asarray(x) - c) / w
-            out = np.zeros(len(x))
-            inside = np.abs(t) < 1
-            out[inside] = a * np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
-            return out
-        return bump
+        return lambda x: bump_values(x, c, w, a)
     if kind == "sine":
         k = int(p.get("mode", 1)); a = float(p.get("amplitude", 1.0))
         def sine(x):
@@ -295,22 +299,20 @@ def _make_datum(cfg: dict, box: SimulationBox, sets: IndexSets) -> GridFunction:
     return GridFunction(vals, box, support_tag="w1")
 
 
-def _make_cfg(cfg: dict, op, h_vals: np.ndarray | None = None) -> RegularizerConfig:
-    """Materialize the run configuration; with the "auto" stop rule and noisy
-    data, stop at 1.5x the noise level relative to the data's dual norm."""
+def _make_cfg(cfg: dict, h_dual: float | None = None) -> RegularizerConfig:
+    """Materialize the run configuration.  An "auto" schedule stays None
+    (recover_interior derives it from sigma_1); with the "auto" stop rule and
+    noisy data, stop at 1.5x the noise level times h_dual, the data's dual
+    norm."""
     sch = cfg["scheme"]
     sched = sch["alpha_schedule"]
-    if sched == "auto":
-        sigma1 = float(np.linalg.norm(op.weighted, 2))
-        schedule = default_alpha_schedule(sigma1)
-    else:
-        schedule = np.asarray(sched, dtype=float)
+    schedule = None if sched == "auto" else np.asarray(sched, dtype=float)
     stop = sch["stop_rule"]
     if stop == "auto":
         lvl = cfg["noise"]["level"]
         stop_rule = ("fixed_list",)
-        if lvl > 0 and h_vals is not None:
-            stop_rule = ("discrepancy", 1.5 * lvl * op.dual_norm(h_vals))
+        if lvl > 0 and h_dual is not None:
+            stop_rule = ("discrepancy", 1.5 * lvl * h_dual)
     elif stop["kind"] == "fixed_list":
         stop_rule = ("fixed_list",)
     else:
@@ -328,8 +330,7 @@ def _measurement(cfg: dict, m, sets, seed: int) -> MeasurementRecord:
             raise ProblemValidationError(
                 f"measured g has {len(g)} values, w2 has {len(sets.w2)} nodes"
             )
-        return MeasurementRecord(f=f, g=g, noise_level=cfg["noise"]["level"],
-                                 provenance="file")
+        return MeasurementRecord(f=f, g=g, noise_level=cfg["noise"]["level"])
     q = _make_potential(cfg, m.box, sets)
     return synthetic_measurement(
         m, sets, q, f, noise_level=cfg["noise"]["level"], seed=seed
@@ -373,8 +374,9 @@ def _cmd_reconstruct(args) -> int:
     seed = args.seed if args.seed is not None else cfg["noise"]["seed"]
     start = time.monotonic()
     rec = _measurement(cfg, m, sets, seed)
-    op = assemble_ucp(m, sets)
-    run_cfg = _make_cfg(cfg, op, measurement_to_h(m, sets, rec))
+    h_vals = measurement_to_h(m, sets, rec)
+    h_dual = np.sqrt(max(hminus_s_inner(m, h_vals, h_vals, sets.w2), 0.0))
+    run_cfg = _make_cfg(cfg, h_dual)
     report = full_pipeline(m, sets, rec, run_cfg, tau=cfg["tau"])
     wall = time.monotonic() - start
     doc = {
@@ -461,13 +463,12 @@ def _cmd_stability(args) -> int:
     cfg = load_problem(args.problem)
     box, m, sets = _build_scene(cfg)
     op = assemble_ucp(m, sets)
-    run_cfg = _make_cfg(cfg, op)
-    if cfg["scheme"]["alpha_schedule"] == "auto":
+    run_cfg = _make_cfg(cfg)
+    if run_cfg.alpha_schedule is None:
         # the sweep must resolve noise floors far below the pipeline default
-        sigma1 = float(np.linalg.norm(op.weighted, 2))
         run_cfg = RegularizerConfig(
             scheme=run_cfg.scheme,
-            alpha_schedule=default_alpha_schedule(sigma1, kmax=48, step=0.25),
+            alpha_schedule=default_alpha_schedule(op.svd_factors[1][0], kmax=48, step=0.25),
         )
     elif run_cfg.stop_rule[0] != "fixed_list":
         run_cfg = RegularizerConfig(scheme=run_cfg.scheme,
@@ -496,14 +497,13 @@ def _cmd_compare(args) -> int:
     box, m, sets = _build_scene(cfg)
     seed = args.seed if args.seed is not None else cfg["noise"]["seed"]
     rec = _measurement(cfg, m, sets, seed)
-    op = assemble_ucp(m, sets)
     schemes = args.schemes.split(",")
     results = {}
     for name in schemes:
         if name not in ("spectral", "tikhonov", "minimal_l2"):
             print(f"error: unknown scheme {name!r}", file=sys.stderr)
             return EXIT_VALIDATION
-    base = _make_cfg(cfg, op)
+    base = _make_cfg(cfg)
     for name in schemes:
         run_cfg = RegularizerConfig(scheme=name, alpha_schedule=base.alpha_schedule,
                                     stop_rule=("fixed_list",))

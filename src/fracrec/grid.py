@@ -85,8 +85,7 @@ class GridFunction:
     """Real-valued function sampled on the box nodes.
 
     ``support_tag`` marks functions known to vanish outside a region
-    ("omega", "w1", "w2"); it is advisory and checked at construction
-    when provided together with index sets.
+    ("omega", "w1", "w2"); it is advisory and never checked.
     """
 
     values: np.ndarray
@@ -122,7 +121,8 @@ class SobolevMachinery:
     frac_lap is the symmetric PSD collocation matrix of the fractional
     Laplacian; gram_hs the SPD Gram matrix of the inhomogeneous Sobolev
     inner product; mass the diagonal quadrature weights.  Region-restricted
-    dual-norm factorizations are cached per region under a lock.
+    factorizations (dual-norm Cholesky factors, minimal-L2 workspaces) are
+    cached on the machinery under a lock.
     """
 
     box: SimulationBox
@@ -133,16 +133,19 @@ class SobolevMachinery:
     dual_gram_cache: dict = field(default_factory=dict)
     _cache_lock: threading.Lock = field(default_factory=threading.Lock)
 
+    def cached(self, key, build):
+        """The cached value under `key`, made by `build()` on first request."""
+        with self._cache_lock:
+            val = self.dual_gram_cache.get(key)
+            if val is None:
+                val = self.dual_gram_cache[key] = build()
+        return val
+
     def dual_factor(self, region: np.ndarray):
         """Cholesky factor of the gram_hs block on `region`, cached."""
-        key = region.tobytes()
-        with self._cache_lock:
-            fac = self.dual_gram_cache.get(key)
-            if fac is None:
-                block = self.gram_hs[np.ix_(region, region)]
-                fac = sla.cho_factor(block)
-                self.dual_gram_cache[key] = fac
-        return fac
+        return self.cached(
+            region.tobytes(), lambda: sla.cho_factor(self.gram_hs[np.ix_(region, region)])
+        )
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -191,7 +194,6 @@ def build_index_sets(
     omega_spec,
     w1_spec,
     w2_spec,
-    min_gap: float = 0.0,
 ) -> IndexSets:
     """Build disjoint node-index sets from unions of open intervals.
 
@@ -209,8 +211,6 @@ def build_index_sets(
     gap_w1 = _intervals_distance(omega_spec, w1_spec)
     if gap_w1 <= 0.0:
         raise ValueError("w1 must have positive distance from omega (closures disjoint)")
-    if min_gap and gap_w1 < min_gap:
-        raise ValueError(f"omega-w1 gap {gap_w1} below declared minimum {min_gap}")
     if _intervals_distance(omega_spec, w2_spec) == 0.0:
         # open sets may share a boundary point but must not overlap
         for a0, a1 in omega_spec:
@@ -314,13 +314,18 @@ def smooth_bump(
     box: SimulationBox, center: float, width: float, amplitude: float = 1.0
 ) -> GridFunction:
     """Compactly supported C-infinity bump exp(1 - 1/(1-t^2)) on (center-width, center+width)."""
+    return GridFunction(bump_values(box.nodes, center, width, amplitude), box)
+
+
+def bump_values(x: np.ndarray, center: float, width: float, amplitude: float = 1.0) -> np.ndarray:
+    """The `smooth_bump` formula at arbitrary points x."""
     if width <= 0:
         raise ValueError("bump width must be positive")
-    t = (box.nodes - center) / width
-    vals = np.zeros(box.size)
+    t = (np.asarray(x) - center) / width
+    vals = np.zeros(len(t))
     inside = np.abs(t) < 1.0
     vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
-    return GridFunction(vals, box)
+    return vals
 
 
 def _power_integral(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:

@@ -30,7 +30,6 @@ from .grid import (
     build_box,
     build_index_sets,
     build_sobolev,
-    hs_norm,
 )
 from .ucp import (
     OptimizerNonConvergence,
@@ -72,10 +71,11 @@ class MeasurementRecord:
     f: GridFunction
     g: np.ndarray                 # values on the w2 nodes
     noise_level: float = 0.0
-    provenance: str = "synthetic"
 
     def __post_init__(self) -> None:
         self.g = np.asarray(self.g, dtype=float)
+        if not np.all(np.isfinite(self.g)):
+            raise ValueError("the measured values g must be finite")
         if not np.any(self.f.values != 0.0):
             raise ValueError("the exterior datum f must be nonzero")
         if self.noise_level < 0:
@@ -108,10 +108,6 @@ def measurement_to_h(
     return rec.g - (m.frac_lap @ rec.f.values)[sets.w2]
 
 
-def _trace_row(alpha: float, residual: float, penalty: float) -> dict:
-    return {"alpha": alpha, "residual_dual": residual, "penalty_hs": penalty}
-
-
 def recover_interior(
     op: UcpOperator,
     window_vals: np.ndarray,
@@ -123,14 +119,13 @@ def recover_interior(
     Returns the stop-rule iterate and the residual/penalty trace.  With the
     fixed-list rule the final (smallest-alpha) iterate is returned; with
     ("discrepancy", delta) the first iterate whose dual residual reaches
-    delta.  When `keep_iterates` is set each trace row also carries the
-    iterate itself (small problems only).
+    delta.  Without a schedule, default_alpha_schedule(sigma_1) is run.
+    Every scheme's trace row holds the dual norm of the window residual and
+    the Sobolev norm of the iterate; when `keep_iterates` is set it also
+    carries the iterate itself (small problems only).
     """
-    m = op.machinery
-    sets = op.sets
     if cfg.alpha_schedule is None:
-        sigma1 = float(np.linalg.norm(op.weighted, 2))
-        alphas = default_alpha_schedule(sigma1)
+        alphas = default_alpha_schedule(float(op.svd_factors[1][0]))
     else:
         alphas = cfg.alpha_schedule
     svd = ucp_svd(op) if cfg.scheme == "spectral" else None
@@ -142,16 +137,12 @@ def recover_interior(
     for alpha in alphas:
         if cfg.scheme == "spectral":
             v = spectral_reconstruct(svd, window_vals, alpha)
-            residual = op.dual_norm(op.apply(v) - window_vals)
-            penalty = hs_norm(m, v)
         elif cfg.scheme == "tikhonov":
-            v, info = tikhonov_reconstruct(op, window_vals, alpha)
-            residual = info["residual_dual"]
-            penalty = info["penalty_hs"]
+            v, _ = tikhonov_reconstruct(op, window_vals, alpha)
         else:
             try:
                 res = minimal_l2_reconstruct(
-                    m, sets, window_vals, alpha,
+                    op.machinery, op.sets, window_vals, alpha,
                     tol=cfg.inner_solver_tol,
                     max_iterations=cfg.max_inner_iterations,
                     window=op.window,
@@ -161,9 +152,10 @@ def recover_interior(
                     raise
                 break  # keep the last converged iterate
             v = res.phi_hat
-            residual = op.dual_norm(op.apply(v) - window_vals)
-            penalty = hs_norm(m, v)
-        row = _trace_row(float(alpha), float(residual), float(penalty))
+        residual = op.dual_norm(op.apply(v) - window_vals)
+        # hs_norm of the omega-supported iterate, without the N x N Gram product
+        penalty = float(np.linalg.norm(op.domain_chol @ v.values[op.sets.omega]))
+        row = {"alpha": float(alpha), "residual_dual": residual, "penalty_hs": penalty}
         if keep_iterates:
             row["iterate"] = v
         trace.append(row)

@@ -5,15 +5,17 @@ The operator maps interior-supported functions v to the values of their
 fractional Laplacian on an exterior window W.  Its domain carries the
 Sobolev inner product restricted to omega-supported vectors and its range
 the dual Sobolev inner product on W, so the singular value decomposition is
-computed for the congruence-transformed matrix Q B R^{-1}, where
-G_omega = R^T R and the dual Gram on W equals Q^T Q.
+computed for the congruence-transformed matrix Q B R^{-1} = U diag(sigma) V^T,
+where G_omega = R^T R and the dual Gram on W equals Q^T Q.  Each operator
+computes these factors once, on first use, and keeps them.
 
 Inversion schemes:
 
-* spectral: truncated singular-value expansion, keeping sigma_k >= alpha;
-* tikhonov: penalized least squares with penalty alpha * ||w||_Hs^2, solved
-  as a stacked least-squares system (same minimizer as the normal
-  equations, numerically stable for very small alpha);
+* spectral and tikhonov are one filtered solve on those factors: in the
+  Sobolev coordinates y = R w the solution is V diag(f(sigma)) U^T Q h,
+  with f(sigma) = 1[sigma >= alpha] / sigma (truncated SVD) or
+  f(sigma) = sigma / (sigma^2 + alpha) (the minimizer of
+  ||L w - h||_dual^2 + alpha ||w||_Hs^2);
 * minimal_l2: convex control formulation over window-supported exterior
   data with a norm (not squared-norm) penalty, minimized by accelerated
   proximal gradient with radial shrinkage, followed by an exact ray
@@ -23,8 +25,8 @@ Inversion schemes:
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -65,7 +67,6 @@ class UcpOperator:
     machinery: SobolevMachinery
     window: np.ndarray            # node indices of W (default: w2)
     domain_chol: np.ndarray       # R with G_omega = R^T R (upper triangular)
-    window_chol: np.ndarray       # C with G_W = C^T C (upper triangular)
     range_weight: np.ndarray      # Q with dual Gram on W = Q^T Q
     weighted: np.ndarray          # Q @ matrix @ R^{-1}
 
@@ -77,6 +78,17 @@ class UcpOperator:
     def n_window(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
+    def svd_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD (U, sigma, V^T) of `weighted`, sigma descending.
+
+        Computed on first use; every caller shares the read-only arrays.
+        """
+        factors = tuple(np.linalg.svd(self.weighted, full_matrices=False))
+        for a in factors:
+            a.flags.writeable = False
+        return factors
+
     def embed_domain(self, v_omega: np.ndarray) -> GridFunction:
         out = np.zeros(self.machinery.box.size)
         out[self.sets.omega] = v_omega
@@ -84,9 +96,6 @@ class UcpOperator:
 
     def apply(self, v: GridFunction) -> np.ndarray:
         return self.matrix @ v.values[self.sets.omega]
-
-    def window_values(self, hfun: GridFunction) -> np.ndarray:
-        return hfun.values[self.window]
 
     def dual_norm(self, window_vals: np.ndarray) -> float:
         """Dual Sobolev norm of values given on the window."""
@@ -105,16 +114,10 @@ class UcpSvd:
     domain_modes: np.ndarray      # |omega| x r, orthonormal in G_omega
     range_modes: np.ndarray       # |W| x r, orthonormal in the dual Gram
     numerical_rank: int
-    # left/right factors of the weighted SVD, kept for coefficient maps
-    _u: np.ndarray = field(repr=False, default=None)
-    _vt: np.ndarray = field(repr=False, default=None)
-
-    def domain_mode(self, j: int) -> GridFunction:
-        return self.op.embed_domain(self.domain_modes[:, j])
 
     def range_coefficients(self, window_vals: np.ndarray) -> np.ndarray:
         """Dual inner products of `window_vals` with every range mode."""
-        return self._u.T @ (self.op.range_weight @ window_vals)
+        return self.op.svd_factors[0].T @ (self.op.range_weight @ window_vals)
 
 
 @dataclass
@@ -174,7 +177,6 @@ def assemble_ucp(
         machinery=m,
         window=w,
         domain_chol=r,
-        window_chol=c,
         range_weight=q,
         weighted=weighted,
     )
@@ -182,7 +184,7 @@ def assemble_ucp(
 
 def ucp_svd(op: UcpOperator) -> UcpSvd:
     """Weighted singular value decomposition of the assembled operator."""
-    u, sig, vt = np.linalg.svd(op.weighted, full_matrices=False)
+    u, sig, vt = op.svd_factors
     rank = int(np.sum(sig > RANK_RTOL * sig[0])) if len(sig) else 0
     domain_modes = sla.solve_triangular(op.domain_chol, vt.T, lower=False)
     # Q = h * C^{-T} is lower triangular
@@ -193,8 +195,6 @@ def ucp_svd(op: UcpOperator) -> UcpSvd:
         domain_modes=domain_modes,
         range_modes=range_modes,
         numerical_rank=rank,
-        _u=u,
-        _vt=vt,
     )
 
 
@@ -208,16 +208,26 @@ def ucp_adjoint(op: UcpOperator, window_vals: np.ndarray) -> GridFunction:
     return op.embed_domain(op.solve_domain_chol(y))
 
 
+def _filtered_solve(
+    op: UcpOperator, window_vals: np.ndarray, gain: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sobolev coordinates y = V diag(gain) U^T Q h of a filtered inversion,
+    returned with the weighted data Q h; `gain` holds f(sigma_k) per mode."""
+    u, _, vt = op.svd_factors
+    qh = op.range_weight @ np.asarray(window_vals)
+    return vt.T @ (gain * (u.T @ qh)), qh
+
+
 def spectral_reconstruct(svd: UcpSvd, window_vals: np.ndarray, alpha: float) -> GridFunction:
     """Truncated-SVD inversion keeping singular values >= alpha."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     sig = svd.sigmas
     keep = sig >= alpha
-    coef = np.zeros(len(sig))
-    proj = svd.range_coefficients(np.asarray(window_vals))
-    coef[keep] = proj[keep] / sig[keep]
-    return svd.op.embed_domain(svd.op.solve_domain_chol(svd._vt.T @ coef))
+    gain = np.zeros(len(sig))
+    gain[keep] = 1.0 / sig[keep]
+    y, _ = _filtered_solve(svd.op, window_vals, gain)
+    return svd.op.embed_domain(svd.op.solve_domain_chol(y))
 
 
 def tikhonov_reconstruct(
@@ -225,28 +235,26 @@ def tikhonov_reconstruct(
 ) -> tuple[GridFunction, dict]:
     """Unique minimizer of ||L w - h||_dual^2 + alpha ||w||_Hs^2.
 
-    Solved as the stacked least-squares system [Lam; sqrt(alpha) I] y = [Qh; 0]
-    in the Sobolev coordinates; algebraically identical to the weighted
-    normal equations but stable for alpha far below sigma_1^2.
+    The filtered solve on the operator's weighted SVD with filter factors
+    sigma / (sigma^2 + alpha) (Hansen, Rank-Deficient and Discrete
+    Ill-Posed Problems, SIAM 1998), the same solve as the truncated SVD.
 
     Returns the minimizer and a diagnostics dict with the dual residual,
-    the Sobolev penalty, and the relative optimality-gradient certificate.
+    the Sobolev penalty, and the relative gradient certificate of the
+    normal equations.  The certificate is evaluated with the assembled
+    weighted matrix, not the SVD factors (in whose coordinates it vanishes
+    by construction), so it checks the filtered solve independently.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    lam = op.weighted
-    n_w, n_om = lam.shape
-    qh = op.range_weight @ np.asarray(window_vals)
-    stacked = np.vstack([lam, np.sqrt(alpha) * np.eye(n_om)])
-    rhs = np.concatenate([qh, np.zeros(n_om)])
-    y, *_ = sla.lstsq(stacked, rhs, lapack_driver="gelsy")
-    if not np.all(np.isfinite(y)):
-        raise RuntimeError(f"tikhonov solve failed at alpha={alpha:.3e}")
+    sig = op.svd_factors[1]
+    y, qh = _filtered_solve(op, window_vals, sig / (sig**2 + alpha))
     v = op.embed_domain(op.solve_domain_chol(y))
 
+    lam = op.weighted
     resid_vec = lam @ y - qh
     grad = 2.0 * (lam.T @ resid_vec + alpha * y)
-    sigma1 = float(np.linalg.norm(lam, 2))
+    sigma1 = float(sig[0])
     scale = 2.0 * (
         (sigma1 ** 2 + alpha) * np.linalg.norm(y) + sigma1 * np.linalg.norm(qh)
     )
@@ -272,46 +280,32 @@ class MinimalL2Result:
 
 
 class _MinimalL2Workspace:
-    """Per-(machinery, sets, window) matrices for the control problem."""
+    """Matrices of the control problem for one (omega, window) pair."""
 
-    def __init__(self, m: SobolevMachinery, sets: IndexSets, window: np.ndarray):
-        self.m = m
-        self.sets = sets
-        self.window = window
-        om = sets.omega
-        a_oo = m.frac_lap[np.ix_(om, om)]
+    def __init__(self, m: SobolevMachinery, omega: np.ndarray, window: np.ndarray):
+        self.spacing = m.box.spacing
+        a_oo = m.frac_lap[np.ix_(omega, omega)]
         self.a_oo_cho = sla.cho_factor(a_oo)
-        coupling = m.frac_lap[np.ix_(om, window)]
+        coupling = m.frac_lap[np.ix_(omega, window)]
         # control-to-state map in omega coordinates (zero potential)
         self.state_map = -sla.cho_solve(self.a_oo_cho, coupling)
-        g_w = m.gram_hs[np.ix_(window, window)]
-        self.window_chol = sla.cholesky(g_w)
-        self.chol_inv = sla.solve_triangular(
-            self.window_chol, np.eye(len(window)), lower=False
-        )
+        window_chol = sla.cholesky(m.gram_hs[np.ix_(window, window)])
+        self.chol_inv = sla.solve_triangular(window_chol, np.eye(len(window)), lower=False)
         tc = self.state_map @ self.chol_inv
-        self.smooth_hessian = m.box.spacing * (tc.T @ tc)
+        self.smooth_hessian = self.spacing * (tc.T @ tc)
         self.lipschitz = float(
             sla.eigvalsh(self.smooth_hessian, subset_by_index=[len(window) - 1] * 2)[-1]
         )
 
     def data_vector(self, window_vals: np.ndarray) -> np.ndarray:
         # Riesz coordinates of f -> (h, f)_L2(W) in the window Sobolev geometry
-        return self.m.box.spacing * (self.chol_inv.T @ np.asarray(window_vals))
-
-
-_MINL2_CACHE: dict = {}
-_MINL2_LOCK = threading.Lock()
+        return self.spacing * (self.chol_inv.T @ np.asarray(window_vals))
 
 
 def _minl2_workspace(m: SobolevMachinery, sets: IndexSets, window: np.ndarray):
-    key = (id(m), window.tobytes())
-    with _MINL2_LOCK:
-        ws = _MINL2_CACHE.get(key)
-        if ws is None:
-            ws = _MinimalL2Workspace(m, sets, window)
-            _MINL2_CACHE[key] = ws
-    return ws
+    """The machinery's cached workspace for (sets.omega, window)."""
+    key = ("minimal_l2", sets.omega.tobytes(), window.tobytes())
+    return m.cached(key, lambda: _MinimalL2Workspace(m, sets.omega, window))
 
 
 def minimal_l2_reconstruct(
@@ -451,7 +445,9 @@ def runge_approximate(
         columns[:, k] = sol.u.values[sets.omega]
 
     sqh = np.sqrt(h)
-    coef, *_ = np.linalg.lstsq(sqh * columns, sqh * target, rcond=None)
+    # minimum-norm least squares, cutting singular values at eps * max(shape)
+    rtol = np.finfo(float).eps * max(columns.shape)
+    coef = np.linalg.pinv(sqh * columns, rtol=rtol) @ (sqh * target)
     err = float(np.sqrt(h * np.sum((target - columns @ coef) ** 2)))
     f_full = np.zeros(m.box.size)
     f_full[sets.w1] = basis @ coef

@@ -81,6 +81,32 @@ class TestProblemFile:
         assert config_hash(cfg) == config_hash(parse_problem(base_problem()))
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("key, value", [("s", [1]), ("tau", None)])
+    def test_wrong_json_type_exits_1(self, tmp_path, capsys, key, value):
+        doc = base_problem()
+        doc[key] = value
+        path = write_problem(tmp_path, doc)
+        assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_non_finite_measured_g_exits_1(self, tmp_path, capsys):
+        doc = base_problem()
+        box = fr.build_box(doc["box"]["radius"], doc["box"]["points"])
+        sets = fr.build_index_sets(box, doc["omega"]["intervals"], doc["w1"]["intervals"],
+                                   doc["w2"]["intervals"])
+        g = [0.0] * len(sets.w2)
+        g[3] = float("nan")
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"values": g}))
+        doc["g"] = {"path": str(gpath)}
+        path = write_problem(tmp_path, doc)
+        assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+
+
 class TestForwardCommand:
     def test_zero_potential_runs(self, tmp_path):
         doc = base_problem()

@@ -177,6 +177,30 @@ class TestRecoverInterior:
         assert len(trace) < len(cfg.alpha_schedule)
 
 
+class TestTraceRowNorms:
+    def test_rows_match_hs_and_dual_norms(self, mach, sets_pipeline, op_pipeline, box, ground_truth):
+        q, f, _ = ground_truth
+        rec = fr.synthetic_measurement(mach, sets_pipeline, q, f, noise_level=1e-3, seed=3)
+        h = fr.measurement_to_h(mach, sets_pipeline, rec)
+        schedules = {
+            "spectral": None,
+            "tikhonov": None,
+            "minimal_l2": op_pipeline.dual_norm(h) * np.array([0.3, 0.1, 0.03]),
+        }
+        w2 = sets_pipeline.w2
+        for scheme, alphas in schedules.items():
+            cfg = fr.RegularizerConfig(scheme=scheme, alpha_schedule=alphas)
+            _, trace = fr.recover_interior(op_pipeline, h, cfg, keep_iterates=True)
+            assert len(trace) == (13 if alphas is None else len(alphas))
+            for row in trace:
+                v = row["iterate"]
+                assert row["penalty_hs"] == pytest.approx(fr.hs_norm(mach, v), rel=1e-10)
+                rvals = np.zeros(box.size)
+                rvals[w2] = op_pipeline.apply(v) - h
+                resid = fr.hminus_s_norm(mach, fr.GridFunction(rvals, box), w2)
+                assert row["residual_dual"] == pytest.approx(resid, rel=1e-10)
+
+
 class TestQuotient:
     def test_recovers_potential_from_true_state(
         self, mach, sets_pipeline, ground_truth

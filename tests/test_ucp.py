@@ -1,5 +1,8 @@
 """Interior-to-window operator, weighted SVD, and the three inversion schemes."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,7 +10,7 @@ from scipy.optimize import brentq
 
 import fracrec as fr
 
-from conftest import random_omega_bump
+from conftest import W1_PIPELINE, W2_PIPELINE, random_omega_bump
 
 
 def omega_vector(op, values_om):
@@ -97,6 +100,24 @@ class TestWeightedSvd:
 
     def test_rank_bounded_by_window(self, svd_onesided, op_onesided):
         assert svd_onesided.numerical_rank <= op_onesided.n_window
+
+
+class TestSharedSvdFactors:
+    def test_concurrent_first_use_matches_serial(self, mach, sets_pipeline, rng):
+        h = rng.standard_normal(len(sets_pipeline.w2))
+        want = fr.tikhonov_reconstruct(fr.assemble_ucp(mach, sets_pipeline), h, 1e-6)[0]
+        op = fr.assemble_ucp(mach, sets_pipeline)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(fr.tikhonov_reconstruct, op, h, 1e-6) for _ in range(16)]
+                got = [f.result(timeout=60)[0] for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert all(np.array_equal(v.values, want.values) for v in got)
+        assert fr.ucp_svd(op).sigmas is op.svd_factors[1]
+        assert not any(a.flags.writeable for a in op.svd_factors)
 
 
 class TestAdjoint:
@@ -239,6 +260,29 @@ class TestTikhonovScheme:
             assert fr.hs_norm(mach, dd) / base <= 1e-4
 
 
+def stacked_tikhonov(op, h, alpha):
+    """Tikhonov minimizer from the stacked least-squares system
+    [Lam; sqrt(alpha) I] y = [Q h; 0] in the Sobolev coordinates y = R w."""
+    lam = op.weighted
+    n_om = lam.shape[1]
+    stacked = np.vstack([lam, np.sqrt(alpha) * np.eye(n_om)])
+    rhs = np.concatenate([op.range_weight @ h, np.zeros(n_om)])
+    y, *_ = sla.lstsq(stacked, rhs, lapack_driver="gelsy")
+    return op.embed_domain(op.solve_domain_chol(y))
+
+
+class TestTikhonovStackedOracle:
+    def test_matches_stacked_least_squares(self, op_pipeline, svd_pipeline, mach, box, rng):
+        h = rng.standard_normal(op_pipeline.n_window)
+        sig1 = svd_pipeline.sigmas[0]
+        alphas = np.concatenate([fr.default_alpha_schedule(sig1), sig1**2 * 10.0 ** -np.arange(7)])
+        for alpha in alphas:
+            v, _ = fr.tikhonov_reconstruct(op_pipeline, h, alpha)
+            ref = stacked_tikhonov(op_pipeline, h, alpha)
+            d = fr.GridFunction(v.values - ref.values, box)
+            assert fr.hs_norm(mach, d) <= 1e-10 * fr.hs_norm(mach, ref)
+
+
 def secular_minimizer(smat, b, alpha):
     """Direct minimizer of 1/2 y'Sy - b'y + alpha ||y|| via the scalar secular equation."""
     d, v = sla.eigh(smat)
@@ -327,6 +371,24 @@ class TestMinimalL2Scheme:
         with pytest.raises(fr.OptimizerNonConvergence):
             fr.minimal_l2_reconstruct(mach, sets_pipeline, h, alpha=1e-12,
                                       max_iterations=2_000)
+
+
+class TestMinimalL2Workspace:
+    def test_cache_distinguishes_omega_with_same_window(self, mach, sets_pipeline, box, rng):
+        # a second omega with the same window on one machinery must not reuse
+        # the first omega's matrices: compare with a solve on a fresh machinery
+        sets_shift = fr.build_index_sets(box, [(-1.25, 0.75)], W1_PIPELINE, W2_PIPELINE)
+        assert np.array_equal(sets_shift.w2, sets_pipeline.w2)
+        op_shift = fr.assemble_ucp(mach, sets_shift)
+        h = op_shift.apply(op_shift.embed_domain(
+            random_omega_bump(box, rng).values[sets_shift.omega] + 0.1
+        ))
+        alpha = 0.3 * op_shift.dual_norm(h)
+        fr.minimal_l2_reconstruct(mach, sets_pipeline, h, alpha)
+        warm = fr.minimal_l2_reconstruct(mach, sets_shift, h, alpha)
+        cold = fr.minimal_l2_reconstruct(fr.build_sobolev(box, mach.order), sets_shift, h, alpha)
+        diff = np.linalg.norm(warm.phi_hat.values - cold.phi_hat.values)
+        assert diff <= 1e-12 * np.linalg.norm(cold.phi_hat.values)
 
 
 class TestRegularizerConfig:
