@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -66,6 +67,9 @@ EXIT_NONCONVERGENCE = 3
 EXIT_SLOPE = 4
 
 _SCHEMA_VERSION = 1
+
+# a problem whose estimated working set (`footprint_bytes`) exceeds this is refused
+FOOTPRINT_BUDGET_BYTES = 2_000_000_000
 
 
 class ProblemValidationError(ValueError):
@@ -145,7 +149,50 @@ def _parse_problem(doc: dict) -> dict:
     if "g" in doc:
         _require_keys(doc["g"], {"path"}, set(), "g")
         cfg["g"] = {"path": str(doc["g"]["path"])}
+    _check_footprint(cfg["box"]["radius"], cfg["box"]["points"],
+                     cfg["omega"] + cfg["w1"] + cfg["w2"])
     return cfg
+
+
+def footprint_bytes(radius: float, points: int, intervals: list, vectors: int = 64) -> int:
+    """Estimated peak bytes of one command on a box with `points` nodes whose
+    regions are the union of `intervals`, computed before anything is
+    allocated.
+
+    K, the node count of all regions together, follows from the interval
+    lengths and the spacing.  Every block a solve gathers is at most K x K,
+    and about four of them (index array, values, factor, product) are alive
+    at once; `vectors` full-grid arrays of doubles come on top.
+    """
+    h = 2.0 * radius / points
+    k = sum(max(b - a, 0.0) / h + 1.0 for a, b in intervals)
+    return int(8 * (4 * k * k + vectors * points))
+
+
+def _check_footprint(radius: float, points: int, intervals: list, vectors: int = 64) -> None:
+    if radius <= 0 or points <= 0:
+        return  # build_box refuses these
+    need = footprint_bytes(radius, points, intervals, vectors)
+    if need > FOOTPRINT_BUDGET_BYTES:
+        raise ProblemValidationError(
+            f"{points} points need about {need / 1e9:.1f} GB, over the "
+            f"{FOOTPRINT_BUDGET_BYTES / 1e9:.1f} GB budget; lower the point count"
+        )
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# per profile kind: (required params, optional params)
+_PROFILE_PARAMS = {
+    "zero": (set(), set()),
+    "constant": ({"value"}, set()),
+    "bump": ({"center", "width"}, {"amplitude"}),
+    "sine": (set(), {"mode", "amplitude"}),
+    "piecewise": ({"breaks", "values"}, set()),
+    "file": ({"path"}, set()),
+}
 
 
 def _parse_profile(obj: dict, where: str, kinds: set) -> dict:
@@ -156,15 +203,26 @@ def _parse_profile(obj: dict, where: str, kinds: set) -> dict:
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ProblemValidationError(f"{where}.params must be an object")
-    allowed = {
-        "zero": set(),
-        "constant": {"value"},
-        "bump": {"center", "width", "amplitude"},
-        "sine": {"mode", "amplitude"},
-        "piecewise": {"breaks", "values"},
-        "file": {"path"},
-    }[kind]
-    _require_keys(params, set(), allowed, f"{where}.params")
+    required, optional = _PROFILE_PARAMS[kind]
+    _require_keys(params, required, optional, f"{where}.params")
+    for key, val in params.items():
+        if key == "mode":
+            ok, what = isinstance(val, int) and not isinstance(val, bool), "an integer"
+        elif key == "path":
+            ok, what = isinstance(val, str), "a string"
+        elif key in ("breaks", "values"):
+            ok = isinstance(val, list) and all(map(_is_number, val))
+            what = "a list of finite numbers"
+        else:
+            ok, what = _is_number(val), "a finite number"
+        if not ok:
+            raise ProblemValidationError(f"{where}.params.{key} must be {what}")
+    if kind == "piecewise":
+        breaks = params["breaks"]
+        if len(params["values"]) != len(breaks) + 1:
+            raise ProblemValidationError("piecewise needs len(values) == len(breaks) + 1")
+        if any(b <= a for a, b in zip(breaks, breaks[1:])):
+            raise ProblemValidationError(f"{where}.params.breaks must be increasing")
     return {"kind": kind, "params": dict(params)}
 
 
@@ -264,16 +322,11 @@ def _profile_callable(profile: dict, kind_region: str):
     if kind == "piecewise":
         breaks = [float(v) for v in p["breaks"]]
         values = [float(v) for v in p["values"]]
-        if len(values) != len(breaks) + 1:
-            raise ProblemValidationError("piecewise needs len(values) == len(breaks) + 1")
         def pw(x):
             return np.array(values, dtype=float)[np.searchsorted(breaks, np.asarray(x))]
         return pw
     if kind == "file":
-        path = p["path"]
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        arr = np.asarray(data["values"], dtype=float)
+        arr = _read_values(p["path"])
         def fromfile(x):
             if len(arr) != len(x):
                 raise ProblemValidationError(
@@ -282,6 +335,16 @@ def _profile_callable(profile: dict, kind_region: str):
             return arr.copy()
         return fromfile
     raise ProblemValidationError(f"unsupported {kind_region} kind {kind!r}")
+
+
+def _read_values(path: str) -> np.ndarray:
+    """The "values" list of a JSON data file, checked to hold finite numbers."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    vals = data.get("values") if isinstance(data, dict) else None
+    if not (isinstance(vals, list) and all(map(_is_number, vals))):
+        raise ProblemValidationError(f'{path}: "values" must be a list of finite numbers')
+    return np.asarray(vals, dtype=float)
 
 
 def _make_potential(cfg: dict, box: SimulationBox, sets: IndexSets) -> Potential:
@@ -323,9 +386,7 @@ def _make_cfg(cfg: dict, h_dual: float | None = None) -> RegularizerConfig:
 def _measurement(cfg: dict, m, sets, seed: int) -> MeasurementRecord:
     f = _make_datum(cfg, m.box, sets)
     if "g" in cfg:
-        with open(cfg["g"]["path"], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        g = np.asarray(data["values"], dtype=float)
+        g = _read_values(cfg["g"]["path"])
         if g.shape != sets.w2.shape:
             raise ProblemValidationError(
                 f"measured g has {len(g)} values, w2 has {len(sets.w2)} nodes"
@@ -346,7 +407,7 @@ def _cmd_forward(args) -> int:
     q = _make_potential(cfg, box, sets)
     f = _make_datum(cfg, box, sets)
     sol = solve_dirichlet(m, sets, q, f)
-    g = (m.frac_lap @ sol.u.values)[sets.w2]
+    g = m.frac_lap.rows(sets.w2, sol.u.values)
     doc = {
         "config_hash": config_hash(cfg),
         "grid": {"radius": box.radius, "points": box.points_per_axis,
@@ -436,6 +497,9 @@ def _cmd_instability(args) -> int:
             file=sys.stderr,
         )
         return EXIT_VALIDATION
+    shell = [(-args.R, 1.0 - args.R), (args.R - 1.0, args.R)]
+    # the series keeps 2 * kmax full-grid functions
+    _check_footprint(args.box_radius, args.N, [(-1.0, 1.0)] + shell, 64 + 2 * args.kmax)
     m, sets = make_instability_geometry(
         args.R, args.s, box_radius=args.box_radius, points=args.N
     )

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .grid import (
     FractionalOrder,
@@ -34,7 +33,7 @@ from .grid import (
     build_box,
     build_index_sets,
     build_sobolev,
-    fraclap_apply,
+    hminus_s_inner,
     hminus_s_norm,
     hs_norm,
     smooth_bump,
@@ -189,11 +188,10 @@ def instability_series(
         vals[om] = v / np.sqrt(h * np.sum(v**2))
         vks.append(GridFunction(vals, m.box, support_tag="omega"))
     ks = np.arange(1, k_max + 1)
-    norms = np.array([hminus_s_norm(m, fraclap_apply(m, vk), sets.w2) for vk in vks])
+    traces = [m.frac_lap.rows(sets.w2, vk.values) for vk in vks]
+    norms = np.sqrt([hminus_s_inner(m, t, t, sets.w2) for t in traces])
     # ||v_k|| = 1/sqrt(h) for every k, so the floor is one number per series
-    per_node = (
-        np.finfo(float).eps * np.linalg.norm(m.frac_lap[:, 0]) / np.sqrt(h * m.box.size)
-    )
+    per_node = np.finfo(float).eps * np.linalg.norm(m.frac_lap.col) / np.sqrt(h * m.box.size)
     floor = per_node * hminus_s_norm(m, GridFunction(np.ones(m.box.size), m.box), sets.w2)
     lo, hi = fit_range
     sel = (ks >= lo) & (ks <= hi) & (norms > floor)
@@ -210,6 +208,7 @@ def instability_series(
 
 def _fit_log_modulus(eta: np.ndarray, err: np.ndarray, energy: float) -> dict:
     """Fit err ~ C*E / log(C*E/eta)^sigma in log space, multi-start."""
+    from scipy.optimize import least_squares  # only the stability sweep fits
 
     def resid(p):
         c, sg = np.exp(p)
@@ -236,11 +235,11 @@ def _fit_log_modulus(eta: np.ndarray, err: np.ndarray, energy: float) -> dict:
 
 
 def _fit_power_law(eta: np.ndarray, err: np.ndarray) -> dict:
-    def resid(p):
-        return p[0] + p[1] * np.log(eta) - np.log(err)
-
-    r = least_squares(resid, x0=[0.0, 0.5])
-    return {"C": float(np.exp(r.x[0])), "p": float(r.x[1]), "residual": float(2.0 * r.cost)}
+    """Fit err ~ C * eta^p: the least-squares line through (log eta, log err)."""
+    log_eta, log_err = np.log(eta), np.log(err)
+    p, log_c = np.polyfit(log_eta, log_err, 1)
+    resid = log_c + p * log_eta - log_err
+    return {"C": float(np.exp(log_c)), "p": float(p), "residual": float(resid @ resid)}
 
 
 def stability_sweep(

@@ -5,7 +5,10 @@ x_j = -R + (j + 1/2) * spacing, so no node ever sits on a region boundary
 placed at a cell edge.  The fractional Laplacian is realized as Fourier
 collocation on the periodized box: the operator is the circulant matrix with
 symbol |xi|^(2s) on the discrete frequency lattice.  Norm machinery uses the
-inhomogeneous symbol (1 + |xi|^2)^s.
+inhomogeneous symbol (1 + |xi|^2)^s.  Both circulants are held as their
+first column (`Circulant`); every solve gathers only the blocks it uses,
+between the rows it needs and the support of its vector, so no N x N matrix
+is ever formed.
 
 An independent quadrature oracle (`fraclap_quadrature_oracle`) evaluates the
 singular-integral definition directly and is used to cross-validate the
@@ -14,16 +17,17 @@ spectral matrix, quantifying the periodization error.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.special import gamma
 
 __all__ = [
     "SimulationBox",
     "IndexSets",
+    "Circulant",
     "GridFunction",
     "FractionalOrder",
     "SobolevMachinery",
@@ -114,21 +118,56 @@ class FractionalOrder:
             raise ValueError(f"fractional order must lie in (0,1), got {self.s}")
 
 
+class Circulant:
+    """Symmetric n x n circulant matrix C[i, j] = col[(i - j) % n], held as
+    its first column.
+
+    ``C[np.ix_(rows, cols)]`` gathers a block from the column,
+    ``C.rows(rows, x)`` is ``(C @ x)[rows]`` summed over the nonzero entries
+    of x only, and ``C @ x`` is that product on every row.  ``nbytes`` counts
+    the bytes held; ``np.asarray(C)`` forms the dense matrix (small n only).
+    """
+
+    def __init__(self, col: np.ndarray):
+        self.col = col
+
+    @property
+    def nbytes(self) -> int:
+        return self.col.nbytes
+
+    def __getitem__(self, key) -> np.ndarray:
+        rows, cols = key
+        return self.col[(rows - cols) % len(self.col)]
+
+    def rows(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        supp = np.flatnonzero(x)
+        return self[np.ix_(rows, supp)] @ x[supp]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.rows(np.arange(len(self.col)), x)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        idx = np.arange(len(self.col))
+        return np.asarray(self[np.ix_(idx, idx)], dtype=dtype)
+
+
 @dataclass
 class SobolevMachinery:
-    """Dense operator and norm matrices for one (box, s) pair.
+    """Operator and norm circulants for one (box, s) pair.
 
     frac_lap is the symmetric PSD collocation matrix of the fractional
     Laplacian; gram_hs the SPD Gram matrix of the inhomogeneous Sobolev
-    inner product; mass the diagonal quadrature weights.  Region-restricted
+    inner product; both are `Circulant`s holding one column each.  mass
+    holds the diagonal quadrature weights.  Region-restricted
     factorizations (dual-norm Cholesky factors, minimal-L2 workspaces) are
     cached on the machinery under a lock.
     """
 
     box: SimulationBox
     order: FractionalOrder
-    frac_lap: np.ndarray
-    gram_hs: np.ndarray
+    frac_lap: Circulant
+    gram_hs: Circulant
     mass: np.ndarray
     dual_gram_cache: dict = field(default_factory=dict)
     _cache_lock: threading.Lock = field(default_factory=threading.Lock)
@@ -238,21 +277,18 @@ def build_index_sets(
     )
 
 
-def _circulant_from_symbol(symbol: np.ndarray) -> np.ndarray:
-    n = len(symbol)
+def _circulant_column(symbol: np.ndarray) -> np.ndarray:
     col = np.fft.ifft(symbol).real
-    col = 0.5 * (col + np.roll(col[::-1], 1))  # enforce exact evenness -> symmetry
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return col[idx]
+    return 0.5 * (col + np.roll(col[::-1], 1))  # enforce exact evenness -> symmetry
 
 
 def build_sobolev(box: SimulationBox, order: FractionalOrder) -> SobolevMachinery:
-    """Assemble the operator and norm matrices for one box and order s."""
+    """Assemble the operator and norm circulants for one box and order s."""
     n = box.points_per_axis
     h = box.spacing
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-    frac_lap = _circulant_from_symbol(np.abs(xi) ** (2.0 * order.s))
-    gram_hs = h * _circulant_from_symbol((1.0 + xi ** 2) ** order.s)
+    frac_lap = Circulant(_circulant_column(np.abs(xi) ** (2.0 * order.s)))
+    gram_hs = Circulant(h * _circulant_column((1.0 + xi ** 2) ** order.s))
     mass = np.full(n, h)
     return SobolevMachinery(box, order, frac_lap, gram_hs, mass)
 
@@ -269,10 +305,11 @@ def fraclap_apply(m: SobolevMachinery, u: GridFunction) -> GridFunction:
 
 
 def hs_inner(m: SobolevMachinery, u: GridFunction, v: GridFunction) -> float:
-    """Inhomogeneous Sobolev inner product u^T G_s v."""
+    """Inhomogeneous Sobolev inner product u^T G_s v, over the supports of u and v."""
     _check_same_box(m, u)
     _check_same_box(m, v)
-    return float(u.values @ (m.gram_hs @ v.values))
+    su = np.flatnonzero(u.values)
+    return float(u.values[su] @ m.gram_hs.rows(su, v.values))
 
 
 def hs_norm(m: SobolevMachinery, u: GridFunction) -> float:
@@ -372,7 +409,7 @@ def fraclap_quadrature_oracle(
     if np.any(vals[:4] != 0.0) or np.any(vals[-4:] != 0.0):
         raise ValueError("support of u touches the box boundary")
 
-    cns = 4.0 ** s * gamma(0.5 + s) / (np.sqrt(np.pi) * abs(gamma(-s)))
+    cns = 4.0 ** s * math.gamma(0.5 + s) / (np.sqrt(np.pi) * abs(math.gamma(-s)))
     du = np.zeros(n)
     du[2:-2] = (-vals[4:] + 8.0 * vals[3:-1] - 8.0 * vals[1:-3] + vals[:-4]) / (12.0 * h)
     d2u = np.zeros(n)

@@ -105,7 +105,7 @@ def measurement_to_h(
         raise PipelineError(1, "datum f has values on interior nodes")
     if rec.g.shape != sets.w2.shape:
         raise PipelineError(1, f"g has {rec.g.shape} values, window has {len(sets.w2)}")
-    return rec.g - (m.frac_lap @ rec.f.values)[sets.w2]
+    return rec.g - m.frac_lap.rows(sets.w2, rec.f.values)
 
 
 def recover_interior(
@@ -180,7 +180,7 @@ def quotient_q(
     if peak == 0.0:
         raise PipelineError(4, "state vanishes identically on omega (zero datum upstream?)")
     mask = np.abs(u_om) <= tau * peak
-    au = (m.frac_lap @ u.values)[sets.omega]
+    au = m.frac_lap.rows(sets.omega, u.values)
     q_vals = np.full(len(sets.omega), np.nan)
     q_vals[~mask] = -au[~mask] / u_om[~mask]
     return q_vals, mask
@@ -271,7 +271,7 @@ def synthetic_measurement(
     noise_level * max|g|, drawn from a generator seeded by `seed`.
     """
     if fine_factor == 1:
-        g = (m.frac_lap @ solve_dirichlet(m, sets, q, f).u.values)[sets.w2]
+        g = m.frac_lap.rows(sets.w2, solve_dirichlet(m, sets, q, f).u.values)
     elif fine_factor == 2:
         if region_specs is None or profile_fns is None:
             raise ValueError("fine-grid synthesis needs region_specs and profile_fns")
@@ -284,7 +284,7 @@ def synthetic_measurement(
         f_vals = np.zeros(box_f.size)
         f_vals[sets_f.w1] = f_of_x(box_f.nodes[sets_f.w1])
         sol = solve_dirichlet(m_f, sets_f, q_f, GridFunction(f_vals, box_f))
-        g_fine = (m_f.frac_lap @ sol.u.values)[sets_f.w2]
+        g_fine = m_f.frac_lap.rows(sets_f.w2, sol.u.values)
         if len(g_fine) != 2 * len(sets.w2):
             raise ValueError("fine window nodes do not pair-align with the coarse window")
         g = _pair_average(g_fine)

@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 import fracrec as fr
+import fracrec.cli as cli
 from fracrec.cli import (
     EXIT_EIGENVALUE,
     EXIT_OK,
@@ -105,6 +106,64 @@ class TestMalformedInput:
         assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+
+    @pytest.mark.parametrize("data", [{"vals": [1.0]}, {"values": [1.0, None]}, [1.0]])
+    def test_malformed_profile_file_exits_1(self, tmp_path, capsys, data):
+        fpath = tmp_path / "q.json"
+        fpath.write_text(json.dumps(data))
+        doc = base_problem()
+        doc["q"] = {"kind": "file", "params": {"path": str(fpath)}}
+        path = write_problem(tmp_path, doc)
+        assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "values" in err[0]
+
+    @pytest.mark.parametrize("key, profile", [
+        ("q", {"kind": "constant", "params": {"value": None}}),
+        ("q", {"kind": "bump", "params": {"center": None, "width": 0.5}}),
+        ("q", {"kind": "bump", "params": {"width": 0.5}}),
+        ("q", {"kind": "piecewise", "params": {"breaks": [0.0], "values": [1.0, "2"]}}),
+        ("q", {"kind": "piecewise", "params": {"breaks": [0.5, 0.0], "values": [1, 2, 3]}}),
+        ("q", {"kind": "file", "params": {"path": 3}}),
+        ("f", {"kind": "sine", "params": {"mode": 1.5}}),
+        ("f", {"kind": "bump", "params": {"center": 4.5, "width": True}}),
+    ], ids=["constant-null", "bump-null-center", "bump-no-center", "piecewise-string",
+            "piecewise-unsorted", "file-path-number", "sine-mode-float", "bump-width-bool"])
+    def test_profile_param_type_exits_1(self, tmp_path, capsys, key, profile):
+        doc = base_problem()
+        doc[key] = profile
+        path = write_problem(tmp_path, doc)
+        assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+
+class TestFootprintBudget:
+    REGIONS = [(-1.0, 1.0), (4.0, 5.0), (-3.0, -1.25), (1.25, 3.0)]
+
+    def test_estimate_tracks_region_nodes(self):
+        # 16 nodes per unit length over 6.5 units of regions, 4 intervals
+        k = 6.5 * 16 + 4
+        assert cli.footprint_bytes(16.0, 512, self.REGIONS) == int(8 * (4 * k * k + 64 * 512))
+
+    def test_estimate_refuses_oversized_grids_only(self):
+        assert cli.footprint_bytes(16.0, 16384, self.REGIONS) < cli.FOOTPRINT_BUDGET_BYTES
+        assert cli.footprint_bytes(16.0, 2**20, self.REGIONS) > cli.FOOTPRINT_BUDGET_BYTES
+        doc = base_problem()
+        doc["box"]["points"] = 2**20
+        with pytest.raises(ProblemValidationError, match="budget"):
+            parse_problem(doc)
+
+    def test_over_budget_exits_1_before_any_output(self, tmp_path, capsys, monkeypatch):
+        # a tiny budget refuses the default problem without building anything
+        monkeypatch.setattr(cli, "FOOTPRINT_BUDGET_BYTES", 1)
+        path = write_problem(tmp_path, base_problem())
+        out = tmp_path / "rep.json"
+        assert main(["reconstruct", path, str(out)]) == EXIT_VALIDATION
+        assert main(["instability", str(tmp_path / "i.csv"), "--R", "13"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 2 and all(e.startswith("error:") and "budget" in e for e in err)
+        assert not out.exists() and not (tmp_path / "i.csv").exists()
 
 
 class TestForwardCommand:

@@ -77,7 +77,7 @@ class TestGridFunction:
 
 class TestOperatorMatrix:
     def test_symmetry(self, mach):
-        a = mach.frac_lap
+        a = np.asarray(mach.frac_lap)
         assert np.abs(a - a.T).max() <= 1e-12 * np.abs(a).max()
 
     def test_positive_semidefinite(self, mach):
@@ -124,6 +124,52 @@ class TestOperatorMatrix:
         lhs = fr.fraclap_apply(m_full, wide).values
         rhs = 2.0 ** (-2 * S) * (fr.fraclap_apply(m_half, u).values)
         assert np.allclose(lhs, rhs, atol=1e-12 * np.abs(rhs).max())
+
+
+def dense_circulant_reference(symbol):
+    """The dense N x N construction the circulant columns replaced."""
+    n = len(symbol)
+    col = np.fft.ifft(symbol).real
+    col = 0.5 * (col + np.roll(col[::-1], 1))
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return col[idx]
+
+
+def dense_reference(box, s):
+    xi = 2.0 * np.pi * np.fft.fftfreq(box.size, d=box.spacing)
+    frac_lap = dense_circulant_reference(np.abs(xi) ** (2.0 * s))
+    gram_hs = box.spacing * dense_circulant_reference((1.0 + xi**2) ** s)
+    return frac_lap, gram_hs
+
+
+class TestCirculant:
+    @pytest.mark.parametrize("n", [64, 512])
+    @pytest.mark.parametrize("s", [0.2, 0.5, 0.7])
+    def test_blocks_bit_identical_to_dense(self, n, s):
+        box = fr.build_box(16.0, n)
+        m = fr.build_sobolev(box, fr.FractionalOrder(s))
+        rng = np.random.default_rng(n)
+        for circ, dense in zip((m.frac_lap, m.gram_hs), dense_reference(box, s)):
+            assert np.array_equal(np.asarray(circ), dense)
+            rows = np.sort(rng.choice(n, n // 4, replace=False))
+            cols = np.sort(rng.choice(n, n // 3, replace=False))
+            assert np.array_equal(circ[np.ix_(rows, cols)], dense[np.ix_(rows, cols)])
+
+    def test_rows_match_dense_product(self, mach, box, sets_classic, rng):
+        dense_lap, dense_gram = dense_reference(box, S)
+        sparse = np.zeros(box.size)
+        sparse[sets_classic.omega] = rng.standard_normal(len(sets_classic.omega))
+        full = rng.standard_normal(box.size)
+        rows = np.concatenate([sets_classic.w2, sets_classic.omega])
+        for circ, dense in ((mach.frac_lap, dense_lap), (mach.gram_hs, dense_gram)):
+            for x in (sparse, full):
+                ref = (dense @ x)[rows]
+                got = circ.rows(rows, x)
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+                assert np.abs(circ @ x - dense @ x).max() <= 1e-13 * np.abs(dense @ x).max()
+
+    def test_holds_two_columns_only(self, mach, box):
+        assert mach.frac_lap.nbytes + mach.gram_hs.nbytes == 16 * box.size
 
 
 class TestQuadratureOracle:
