@@ -7,8 +7,8 @@ produces byte-identical output files.  Output files are written atomically
 (temp file + rename).
 
 Exit codes: 0 success; 1 validation/usage error; 2 interior operator
-singular (eigenvalue condition); 3 optimizer non-convergence; 4 decay-slope
-bound violated in the instability experiment.
+singular (eigenvalue condition); 3 no minimal-L2 minimizer at the first
+alpha; 4 decay-slope bound violated in the instability experiment.
 """
 
 from __future__ import annotations

@@ -150,7 +150,9 @@ def recover_interior(
             except OptimizerNonConvergence:
                 if chosen is None:
                     raise
-                break  # keep the last converged iterate
+                # the data's null-space component does not depend on alpha,
+                # so no smaller alpha has a minimizer either
+                break
             v = res.phi_hat
         residual = op.dual_norm(op.apply(v) - window_vals)
         # hs_norm of the omega-supported iterate, without the N x N Gram product

@@ -17,10 +17,11 @@ Inversion schemes:
   f(sigma) = sigma / (sigma^2 + alpha) (the minimizer of
   ||L w - h||_dual^2 + alpha ||w||_Hs^2);
 * minimal_l2: convex control formulation over window-supported exterior
-  data with a norm (not squared-norm) penalty, minimized by accelerated
-  proximal gradient with radial shrinkage, followed by an exact ray
-  rescale; the dual-state solve converts the optimal control into the
-  interior reconstruction and carries an alpha-level residual certificate.
+  data with a norm (not squared-norm) penalty, minimized exactly by one
+  eigendecomposition of the control Hessian and a bisection for the root
+  of the scalar secular equation; the dual-state solve converts the
+  optimal control into the interior reconstruction and carries an
+  alpha-level residual certificate.
 """
 
 from __future__ import annotations
@@ -55,7 +56,8 @@ RANK_RTOL = 1e-12
 
 
 class OptimizerNonConvergence(RuntimeError):
-    """The minimal-L2 inner optimizer exhausted its budget without certificates."""
+    """No minimal-L2 minimizer at this alpha: the data's component in the
+    control Hessian's null space reaches alpha (or the bisection cap was hit)."""
 
 
 @dataclass
@@ -132,8 +134,8 @@ class RegularizerConfig:
     scheme: str = "tikhonov"
     alpha_schedule: np.ndarray | None = None
     stop_rule: tuple = ("fixed_list",)
-    inner_solver_tol: float = 1e-10
-    max_inner_iterations: int = 200_000
+    inner_solver_tol: float = 1e-10       # minimal_l2 relative KKT tolerance
+    max_inner_iterations: int = 200_000   # minimal_l2 bisection step cap
 
     def __post_init__(self) -> None:
         if self.scheme not in ("spectral", "tikhonov", "minimal_l2"):
@@ -293,9 +295,10 @@ class _MinimalL2Workspace:
         self.chol_inv = sla.solve_triangular(window_chol, np.eye(len(window)), lower=False)
         tc = self.state_map @ self.chol_inv
         self.smooth_hessian = self.spacing * (tc.T @ tc)
-        self.lipschitz = float(
-            sla.eigvalsh(self.smooth_hessian, subset_by_index=[len(window) - 1] * 2)[-1]
-        )
+        # eigenvalues at or below n * eps * d_max span the floating-point null space
+        d, self.eigvecs = sla.eigh(self.smooth_hessian)
+        d[d <= len(window) * np.finfo(float).eps * d[-1]] = 0.0
+        self.eigvals = d
 
     def data_vector(self, window_vals: np.ndarray) -> np.ndarray:
         # Riesz coordinates of f -> (h, f)_L2(W) in the window Sobolev geometry
@@ -321,66 +324,57 @@ def minimal_l2_reconstruct(
 
     Minimizes J(f) = 1/2 ||u(f)||_L2(omega)^2 - (h, f)_L2(W) + alpha ||f||_Hs
     over window-supported controls f, where u(f) solves the zero-potential
-    exterior-value problem.  The optimizer is FISTA with adaptive restart
-    and radial-shrinkage proximal steps in the window Sobolev geometry,
-    finished by an exact rescale along the final ray (which enforces the
-    energy identity J = -1/2 ||u||^2 at the returned point).
+    exterior-value problem.  In window Sobolev coordinates y this is
+    1/2 y'Sy - b'y + alpha ||y||, minimized by (S + mu I) y = b with
+    mu ||y|| = alpha (the trust-region secular equation, More & Sorensen
+    1983).  With S = V diag(d) V^T, mu ||y(mu)|| = ||mu V^T b / (d + mu)||
+    rises in mu; its root is bisected in log mu, from below, until
+    1 - mu ||y|| / alpha <= `tol`, the relative KKT residual.  `iterations`
+    counts the bisection steps; reaching `max_iterations` raises.
 
     The interior reconstruction phi_hat solves the dual problem
     (A phi_hat)|_omega = -u_hat|_omega with zero exterior values and carries
     the certificate ||(A phi_hat)|_W - h||_dual <= alpha at the optimum.
 
-    Raises OptimizerNonConvergence if the iteration budget is exhausted
-    before the residual certificate is met to relative `tol`.
+    Raises OptimizerNonConvergence when the component of b in the null
+    space of S (eigenvalues <= |W| eps d_max) has norm >= alpha: J is then
+    unbounded below and has no minimizer.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     w = sets.w2 if window is None else np.asarray(window)
     ws = _minl2_workspace(m, sets, w)
     b = ws.data_vector(window_vals)
-    smat = ws.smooth_hessian
-    step = 1.0 / ws.lipschitz
+    d, beta = ws.eigvals, ws.eigvecs.T @ b
+    nb, null = float(np.linalg.norm(b)), float(np.linalg.norm(beta[d == 0.0]))
 
-    nb = float(np.linalg.norm(b))
-    y = np.zeros(len(w))
-    converged = nb <= alpha  # zero is optimal, certificate holds immediately
-    it = 0
-    if not converged:
-        z = y.copy()
-        t = 1.0
-        target = alpha * (1.0 + tol)
-        check_every = 50
-        for it in range(1, max_iterations + 1):
-            grad = smat @ z - b
-            wvec = z - step * grad
-            nw = float(np.linalg.norm(wvec))
-            shrink = max(0.0, 1.0 - step * alpha / nw) if nw > 0 else 0.0
-            y_new = shrink * wvec
-            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            if float(np.dot(y_new - y, z - y_new)) > 0.0:  # adaptive restart
-                z, t_new = y_new.copy(), 1.0
+    def reach(log_mu: float) -> float:  # mu ||y(mu)||
+        mu = np.exp(log_mu)
+        return float(np.linalg.norm(mu * beta / (d + mu)))
+
+    y, it = np.zeros(len(w)), 0
+    if nb > alpha:  # otherwise zero is optimal
+        if null >= alpha:
+            raise OptimizerNonConvergence(
+                f"no minimizer at alpha={alpha:.3e}: the data's component in the "
+                f"numerical null space of the control Hessian has norm {null:.3e} >= alpha"
+            )
+        lo = np.log(d[d > 0.0].min() * np.sqrt(alpha**2 - null**2) / nb)
+        hi = np.log(d[-1] * alpha / (nb - alpha))
+        reach_lo = reach(lo)
+        while reach_lo < (1.0 - tol) * alpha:
+            if it == max_iterations:
+                raise OptimizerNonConvergence(
+                    f"{max_iterations} bisection steps did not reach relative "
+                    f"tolerance {tol:.1e} at alpha={alpha:.3e}"
+                )
+            it += 1
+            mid = 0.5 * (lo + hi)
+            if (r := reach(mid)) <= alpha:
+                lo, reach_lo = mid, r
             else:
-                z = y_new + ((t - 1.0) / t_new) * (y_new - y)
-            y, t = y_new, t_new
-            if it % check_every == 0:
-                res = float(np.linalg.norm(smat @ y - b))
-                if res <= target:
-                    converged = True
-                    break
-        # exact minimization along the ray {t y : t >= 0}
-        ny = float(np.linalg.norm(y))
-        if ny > 0:
-            curv = float(y @ (smat @ y))
-            if curv > 0:
-                t_star = max((float(b @ y) - alpha * ny) / curv, 0.0)
-                y = t_star * y
-
-    if not converged:
-        raise OptimizerNonConvergence(
-            f"budget {max_iterations} exhausted at alpha={alpha:.3e} "
-            f"(residual {float(np.linalg.norm(smat @ y - b)):.3e} vs target {alpha:.3e}); "
-            "the functional may be nearly non-coercive at this alpha"
-        )
+                hi = mid
+        y = ws.eigvecs @ (beta / (d + np.exp(lo)))
 
     f_w = ws.chol_inv @ y
     f_full = np.zeros(m.box.size)
@@ -397,7 +391,7 @@ def minimal_l2_reconstruct(
         - h * float(np.asarray(window_vals) @ f_w)
         + alpha * float(np.linalg.norm(y))
     )
-    residual = float(np.linalg.norm(smat @ y - b))
+    residual = float(np.linalg.norm(ws.smooth_hessian @ y - b))
     return MinimalL2Result(
         f_hat=GridFunction(f_full, m.box),
         u_hat=GridFunction(u_full, m.box),
@@ -405,7 +399,7 @@ def minimal_l2_reconstruct(
         j_value=j_val,
         residual_dual=residual,
         iterations=it,
-        converged=converged,
+        converged=True,
     )
 
 

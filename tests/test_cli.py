@@ -11,6 +11,7 @@ import fracrec as fr
 import fracrec.cli as cli
 from fracrec.cli import (
     EXIT_EIGENVALUE,
+    EXIT_NONCONVERGENCE,
     EXIT_OK,
     EXIT_SLOPE,
     EXIT_VALIDATION,
@@ -218,6 +219,19 @@ class TestReconstructCommand:
         path = write_problem(tmp_path, doc)
         assert main(["reconstruct", path, str(tmp_path / "o.json")]) == EXIT_VALIDATION
         assert "nonzero" in capsys.readouterr().err
+
+    def test_no_minimizer_exits_3(self, tmp_path, capsys):
+        # at noise 1e-4 the datum's null-space component (about 2e-6) exceeds alpha
+        doc = base_problem()
+        doc["noise"]["level"] = 1e-4
+        path = write_problem(tmp_path, doc)
+        out = tmp_path / "o.json"
+        code = main(["reconstruct", path, str(out), "--scheme", "minimal_l2",
+                     "--alpha-list", "1e-9"])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_NONCONVERGENCE
+        assert len(err) == 1 and err[0].startswith("error:") and "no minimizer" in err[0]
+        assert not out.exists()
 
     def test_scheme_cross_check_at_matched_depth(self, tmp_path):
         # spectral and tikhonov runs at matched cutoffs give the same interior part

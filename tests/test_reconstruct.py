@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import fracrec as fr
+from fracrec.ucp import _minl2_workspace
 
 from conftest import OMEGA, W1_PIPELINE, W2_PIPELINE, random_omega_bump
 
@@ -140,6 +142,40 @@ class TestRecoverInterior:
         assert [r["residual_dual"] for r in trace] == sorted(
             (r["residual_dual"] for r in trace), reverse=True
         )
+
+    def test_minimal_l2_kkt_certificate(self, mach, sets_pipeline, ground_truth, rng):
+        # the returned control satisfies S y - b + alpha y / ||y|| = 0
+        q, f, _ = ground_truth
+        rec = fr.synthetic_measurement(mach, sets_pipeline, q, f)
+        h = fr.measurement_to_h(mach, sets_pipeline, rec)
+        h_noisy = h * (1.0 + 0.02 * rng.standard_normal(len(h)))
+        ws = _minl2_workspace(mach, sets_pipeline, sets_pipeline.w2)
+        for vals, scales in ((h, (1e-2, 1e-4)), (h_noisy, (1e-2,))):
+            b = ws.data_vector(vals)
+            for scale in scales:
+                alpha = scale * np.linalg.norm(b)
+                res = fr.minimal_l2_reconstruct(mach, sets_pipeline, vals, alpha)
+                y = sla.solve_triangular(ws.chol_inv, res.f_hat.values[sets_pipeline.w2])
+                kkt = ws.smooth_hessian @ y - b + alpha * y / np.linalg.norm(y)
+                assert np.linalg.norm(kkt) <= 1e-6 * alpha
+                # the root is approached from below: the residual never exceeds alpha
+                assert res.residual_dual <= alpha
+
+    def test_minimal_l2_returns_only_certified_points(self, mach, sets_pipeline, ground_truth):
+        # noisy data has a sizeable null-space component; every alpha either
+        # has no minimizer or returns a point within the residual certificate
+        q, f, _ = ground_truth
+        ws = _minl2_workspace(mach, sets_pipeline, sets_pipeline.w2)
+        for level in (1e-4, 1e-2):
+            rec = fr.synthetic_measurement(mach, sets_pipeline, q, f, noise_level=level, seed=3)
+            h = fr.measurement_to_h(mach, sets_pipeline, rec)
+            for k in range(1, 5):
+                alpha = np.linalg.norm(ws.data_vector(h)) * 10.0 ** -k
+                try:
+                    res = fr.minimal_l2_reconstruct(mach, sets_pipeline, h, alpha)
+                except fr.OptimizerNonConvergence:
+                    continue
+                assert res.residual_dual <= alpha * (1.0 + 1e-6)
 
     def test_minimal_l2_budget_exhaustion_keeps_last_iterate(
         self, mach, sets_pipeline, op_pipeline, box, ground_truth

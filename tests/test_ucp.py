@@ -365,6 +365,27 @@ class TestMinimalL2Scheme:
         assert all(b <= a * (1 + 1e-9) for a, b in zip(errs, errs[1:]))
         assert errs[-1] <= 0.3
 
+    def test_null_component_decides_existence(self, mach, sets_pipeline):
+        # a datum whose component in the control Hessian's numerical null
+        # space has norm c: no minimizer below alpha = c, an exact one above
+        from fracrec.ucp import _minl2_workspace
+
+        ws = _minl2_workspace(mach, sets_pipeline, sets_pipeline.w2)
+        null = ws.eigvals == 0.0
+        assert 0 < null.sum() < len(null)
+        c = 0.1
+        b = ws.eigvecs[:, ~null].sum(axis=1) / np.sqrt((~null).sum())
+        b = b + c * ws.eigvecs[:, null][:, 0]
+        h = np.linalg.solve(ws.chol_inv.T, b) / ws.spacing
+        assert np.linalg.norm(ws.eigvecs[:, null].T @ ws.data_vector(h)) == pytest.approx(
+            c, rel=1e-9
+        )
+        with pytest.raises(fr.OptimizerNonConvergence, match="no minimizer"):
+            fr.minimal_l2_reconstruct(mach, sets_pipeline, h, 0.99 * c)
+        res = fr.minimal_l2_reconstruct(mach, sets_pipeline, h, 1.01 * c)
+        assert res.converged and np.all(np.isfinite(res.phi_hat.values))
+        assert np.any(res.f_hat.values != 0.0)
+
     def test_nonconvergence_raises(self, mach, sets_pipeline, rng):
         # alpha far below the floating-point coercivity floor on pure noise
         h = rng.standard_normal(len(sets_pipeline.w2))
