@@ -207,31 +207,36 @@ def instability_series(
 
 
 def _fit_log_modulus(eta: np.ndarray, err: np.ndarray, energy: float) -> dict:
-    """Fit err ~ C*E / log(C*E/eta)^sigma in log space, multi-start."""
-    from scipy.optimize import least_squares  # only the stability sweep fits
+    """Fit err ~ C*E / log(C*E/eta)^sigma in log space.
 
-    def resid(p):
-        c, sg = np.exp(p)
-        arg = np.maximum(c * energy / eta, 1.0 + 1e-9)
-        model = c * energy / np.log(arg) ** sg
-        return np.log(model) - np.log(err)
+    For fixed t = log C the log-residual log(C E) - sigma log log(C E/eta)
+    - log err is linear in sigma, so sigma is its least-squares slope,
+    floored at the smallest positive normal double (the model needs
+    sigma > 0).  Only t is searched: a scan of [t0, t0 + 50], where
+    t0 = log(max eta / E) puts every C E / eta at or above 1, then repeated
+    finer scans of the cell around the best point, down to a width of 1e-12.
+    """
+    log_e, log_err = np.log(energy), np.log(err)
 
-    best = None
-    for c0 in (-2.0, 0.0, 2.0, 5.0):
-        for s0 in (-1.0, 0.0, 1.0):
-            try:
-                r = least_squares(resid, x0=[c0, s0])
-            except Exception:  # noqa: BLE001 - fit divergence is reported, not fatal
-                continue
-            if best is None or r.cost < best.cost:
-                best = r
-    if best is None:
+    def profile(t: float) -> tuple[float, float]:  # (sum of squares, sigma)
+        a = t + log_e - log_err
+        l = np.log(np.log(np.maximum(np.exp(t) * energy / eta, 1.0 + 1e-9)))
+        sigma = max(float(a @ l) / float(l @ l), np.finfo(float).tiny)
+        r = a - sigma * l
+        return float(r @ r), sigma
+
+    t0 = float(np.log(eta.max() / energy))
+    ts = np.linspace(t0, t0 + 50.0, 201)
+    while True:
+        costs = [profile(t)[0] for t in ts]
+        k = int(np.argmin(costs))
+        if ts[-1] - ts[0] <= 1e-12:
+            break
+        ts = np.linspace(ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)], 21)
+    cost, sigma = profile(ts[k])
+    if not np.isfinite(cost):
         return {"C": np.nan, "sigma": np.nan, "residual": np.inf}
-    return {
-        "C": float(np.exp(best.x[0])),
-        "sigma": float(np.exp(best.x[1])),
-        "residual": float(2.0 * best.cost),
-    }
+    return {"C": float(np.exp(ts[k])), "sigma": sigma, "residual": cost}
 
 
 def _fit_power_law(eta: np.ndarray, err: np.ndarray) -> dict:

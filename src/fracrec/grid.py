@@ -22,7 +22,6 @@ import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 __all__ = [
     "SimulationBox",
@@ -159,9 +158,9 @@ class SobolevMachinery:
     frac_lap is the symmetric PSD collocation matrix of the fractional
     Laplacian; gram_hs the SPD Gram matrix of the inhomogeneous Sobolev
     inner product; both are `Circulant`s holding one column each.  mass
-    holds the diagonal quadrature weights.  Region-restricted
-    factorizations (dual-norm Cholesky factors, minimal-L2 workspaces) are
-    cached on the machinery under a lock.
+    holds the diagonal quadrature weights.  Region-restricted matrices
+    (dual weights, minimal-L2 workspaces) are cached on the machinery under
+    a lock.
     """
 
     box: SimulationBox
@@ -180,11 +179,21 @@ class SobolevMachinery:
                 val = self.dual_gram_cache[key] = build()
         return val
 
-    def dual_factor(self, region: np.ndarray):
-        """Cholesky factor of the gram_hs block on `region`, cached."""
-        return self.cached(
-            region.tobytes(), lambda: sla.cho_factor(self.gram_hs[np.ix_(region, region)])
-        )
+    def dual_weight(self, region: np.ndarray) -> np.ndarray:
+        """Lower-triangular Q = L^-1 M on `region`, cached and read-only.
+
+        G = L L^T is the Cholesky factorization of the gram_hs block and
+        M = diag(mass), so Q^T Q = M G^-1 M and ||Q h|| is the dual Sobolev
+        norm of h.  L^-1 is the inverse of the upper factor L^T, transposed:
+        that inversion needs no row exchanges, so it is a back substitution.
+        """
+        def build():
+            chol = np.linalg.cholesky(self.gram_hs[np.ix_(region, region)])
+            q = np.tril(np.linalg.inv(chol.T).T) * self.mass[region]
+            q.flags.writeable = False
+            return q
+
+        return self.cached(region.tobytes(), build)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -326,25 +335,21 @@ def hminus_s_norm(m: SobolevMachinery, hfun: GridFunction, region: np.ndarray) -
 
     Realized as the dual norm of the region-supported Sobolev space:
     sup over region-supported phi of (h, phi)_L2 / ||phi||_Hs, i.e.
-    sqrt(h^T M_r G_r^{-1} M_r h) with the region blocks; the factorization
-    of G_r is cached on the machinery.
+    sqrt(h^T M_r G_r^{-1} M_r h) = ||Q h|| with the region blocks and the
+    machinery's cached dual weight Q.
     """
     _check_same_box(m, hfun)
     if len(region) == 0:
         raise ValueError("empty region")
-    fac = m.dual_factor(region)
-    mh = m.mass[region] * hfun.values[region]
-    return float(np.sqrt(max(mh @ sla.cho_solve(fac, mh), 0.0)))
+    return float(np.linalg.norm(m.dual_weight(region) @ hfun.values[region]))
 
 
 def hminus_s_inner(
     m: SobolevMachinery, h1: np.ndarray, h2: np.ndarray, region: np.ndarray
 ) -> float:
-    """Dual-norm inner product of two value vectors given on `region`."""
-    fac = m.dual_factor(region)
-    m1 = m.mass[region] * np.asarray(h1)
-    m2 = m.mass[region] * np.asarray(h2)
-    return float(m1 @ sla.cho_solve(fac, m2))
+    """Dual-norm inner product (Q h1) . (Q h2) of two value vectors given on `region`."""
+    q = m.dual_weight(region)
+    return float((q @ np.asarray(h1)) @ (q @ np.asarray(h2)))
 
 
 def smooth_bump(

@@ -150,8 +150,8 @@ def recover_interior(
             except OptimizerNonConvergence:
                 if chosen is None:
                     raise
-                # the data's null-space component does not depend on alpha,
-                # so no smaller alpha has a minimizer either
+                # the data's null-space component does not depend on alpha:
+                # a smaller alpha only comes closer to it, or passes it
                 break
             v = res.phi_hat
         residual = op.dual_norm(op.apply(v) - window_vals)

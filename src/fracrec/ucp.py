@@ -6,8 +6,9 @@ fractional Laplacian on an exterior window W.  Its domain carries the
 Sobolev inner product restricted to omega-supported vectors and its range
 the dual Sobolev inner product on W, so the singular value decomposition is
 computed for the congruence-transformed matrix Q B R^{-1} = U diag(sigma) V^T,
-where G_omega = R^T R and the dual Gram on W equals Q^T Q.  Each operator
-computes these factors once, on first use, and keeps them.
+where G_omega = R^T R and the dual Gram on W equals Q^T Q (Q is the
+machinery's cached dual weight).  Each operator holds R^{-1} and computes
+the SVD factors once, on first use, and keeps them.
 
 Inversion schemes:
 
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .forward import Potential, solve_dirichlet
 from .grid import GridFunction, IndexSets, SobolevMachinery
@@ -56,8 +56,9 @@ RANK_RTOL = 1e-12
 
 
 class OptimizerNonConvergence(RuntimeError):
-    """No minimal-L2 minimizer at this alpha: the data's component in the
-    control Hessian's null space reaches alpha (or the bisection cap was hit)."""
+    """No certified minimal-L2 minimizer at this alpha: the data's component
+    in the control Hessian's null space reaches alpha, the residual on the
+    formed Hessian exceeds alpha (1 + tol), or the bisection cap was hit."""
 
 
 @dataclass
@@ -69,7 +70,8 @@ class UcpOperator:
     machinery: SobolevMachinery
     window: np.ndarray            # node indices of W (default: w2)
     domain_chol: np.ndarray       # R with G_omega = R^T R (upper triangular)
-    range_weight: np.ndarray      # Q with dual Gram on W = Q^T Q
+    domain_chol_inv: np.ndarray   # R^{-1} (upper triangular)
+    range_weight: np.ndarray      # Q with dual Gram on W = Q^T Q (lower triangular)
     weighted: np.ndarray          # Q @ matrix @ R^{-1}
 
     @property
@@ -104,18 +106,28 @@ class UcpOperator:
         return float(np.linalg.norm(self.range_weight @ window_vals))
 
     def solve_domain_chol(self, y: np.ndarray) -> np.ndarray:
-        return sla.solve_triangular(self.domain_chol, y, lower=False)
+        """R^{-1} y."""
+        return self.domain_chol_inv @ y
 
 
 @dataclass
 class UcpSvd:
-    """Weighted SVD of the interior-to-window operator."""
+    """Weighted SVD of the interior-to-window operator; the modes are formed
+    on first read."""
 
     op: UcpOperator
     sigmas: np.ndarray            # descending positive singular values
-    domain_modes: np.ndarray      # |omega| x r, orthonormal in G_omega
-    range_modes: np.ndarray       # |W| x r, orthonormal in the dual Gram
     numerical_rank: int
+
+    @cached_property
+    def domain_modes(self) -> np.ndarray:
+        """|omega| x r modes R^{-1} V, orthonormal in G_omega."""
+        return self.op.domain_chol_inv @ self.op.svd_factors[2].T
+
+    @cached_property
+    def range_modes(self) -> np.ndarray:
+        """|W| x r modes Q^{-1} U, orthonormal in the dual Gram."""
+        return np.linalg.solve(self.op.range_weight, self.op.svd_factors[0])
 
     def range_coefficients(self, window_vals: np.ndarray) -> np.ndarray:
         """Dual inner products of `window_vals` with every range mode."""
@@ -166,38 +178,27 @@ def assemble_ucp(
     if len(sets.omega) == 0 or len(w) == 0:
         raise ValueError("omega and the window must be nonempty")
     matrix = m.frac_lap[np.ix_(w, sets.omega)]
-    g_om = m.gram_hs[np.ix_(sets.omega, sets.omega)]
-    g_w = m.gram_hs[np.ix_(w, w)]
-    r = sla.cholesky(g_om)
-    c = sla.cholesky(g_w)
-    # dual Gram on W: M G_W^{-1} M = Q^T Q with Q = h * C^{-T}
-    q = m.box.spacing * sla.solve_triangular(c, np.eye(len(w)), trans="T", lower=False)
-    weighted = q @ matrix @ sla.solve_triangular(r, np.eye(len(sets.omega)), lower=False)
+    r = np.linalg.cholesky(m.gram_hs[np.ix_(sets.omega, sets.omega)]).T
+    # inverting an upper-triangular matrix needs no row exchanges
+    r_inv = np.triu(np.linalg.inv(r))
+    q = m.dual_weight(w)
     return UcpOperator(
         matrix=matrix,
         sets=sets,
         machinery=m,
         window=w,
         domain_chol=r,
+        domain_chol_inv=r_inv,
         range_weight=q,
-        weighted=weighted,
+        weighted=q @ matrix @ r_inv,
     )
 
 
 def ucp_svd(op: UcpOperator) -> UcpSvd:
     """Weighted singular value decomposition of the assembled operator."""
-    u, sig, vt = op.svd_factors
+    sig = op.svd_factors[1]
     rank = int(np.sum(sig > RANK_RTOL * sig[0])) if len(sig) else 0
-    domain_modes = sla.solve_triangular(op.domain_chol, vt.T, lower=False)
-    # Q = h * C^{-T} is lower triangular
-    range_modes = sla.solve_triangular(op.range_weight, u, lower=True)
-    return UcpSvd(
-        op=op,
-        sigmas=sig,
-        domain_modes=domain_modes,
-        range_modes=range_modes,
-        numerical_rank=rank,
-    )
+    return UcpSvd(op=op, sigmas=sig, numerical_rank=rank)
 
 
 def ucp_adjoint(op: UcpOperator, window_vals: np.ndarray) -> GridFunction:
@@ -284,19 +285,21 @@ class MinimalL2Result:
 class _MinimalL2Workspace:
     """Matrices of the control problem for one (omega, window) pair."""
 
-    def __init__(self, m: SobolevMachinery, omega: np.ndarray, window: np.ndarray):
+    def __init__(
+        self, m: SobolevMachinery, omega: np.ndarray, window: np.ndarray, q_window: np.ndarray
+    ):
         self.spacing = m.box.spacing
-        a_oo = m.frac_lap[np.ix_(omega, omega)]
-        self.a_oo_cho = sla.cho_factor(a_oo)
+        self.a_oo = m.frac_lap[np.ix_(omega, omega)]
         coupling = m.frac_lap[np.ix_(omega, window)]
         # control-to-state map in omega coordinates (zero potential)
-        self.state_map = -sla.cho_solve(self.a_oo_cho, coupling)
-        window_chol = sla.cholesky(m.gram_hs[np.ix_(window, window)])
-        self.chol_inv = sla.solve_triangular(window_chol, np.eye(len(window)), lower=False)
+        self.state_map = -np.linalg.solve(self.a_oo, coupling)
+        # C^{-1} (upper triangular) with G_W = C^T C, from the dual weight
+        # Q = C^{-T} M and the uniform mass M = h I
+        self.chol_inv = q_window.T / self.spacing
         tc = self.state_map @ self.chol_inv
         self.smooth_hessian = self.spacing * (tc.T @ tc)
         # eigenvalues at or below n * eps * d_max span the floating-point null space
-        d, self.eigvecs = sla.eigh(self.smooth_hessian)
+        d, self.eigvecs = np.linalg.eigh(self.smooth_hessian)
         d[d <= len(window) * np.finfo(float).eps * d[-1]] = 0.0
         self.eigvals = d
 
@@ -308,7 +311,9 @@ class _MinimalL2Workspace:
 def _minl2_workspace(m: SobolevMachinery, sets: IndexSets, window: np.ndarray):
     """The machinery's cached workspace for (sets.omega, window)."""
     key = ("minimal_l2", sets.omega.tobytes(), window.tobytes())
-    return m.cached(key, lambda: _MinimalL2Workspace(m, sets.omega, window))
+    # fetched outside `m.cached`, whose lock is held while a value is built
+    q_window = m.dual_weight(window)
+    return m.cached(key, lambda: _MinimalL2Workspace(m, sets.omega, window, q_window))
 
 
 def minimal_l2_reconstruct(
@@ -338,7 +343,11 @@ def minimal_l2_reconstruct(
 
     Raises OptimizerNonConvergence when the component of b in the null
     space of S (eigenvalues <= |W| eps d_max) has norm >= alpha: J is then
-    unbounded below and has no minimizer.
+    unbounded below and has no minimizer.  It also raises when the
+    certificate ||S y - b|| on the formed S exceeds alpha (1 + `tol`): the
+    solve sets those eigenvalues to zero, but the formed S still acts on
+    the null components beta_i / mu of y, which are large when alpha is
+    just above the null-space norm and mu is tiny.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -375,6 +384,12 @@ def minimal_l2_reconstruct(
             else:
                 hi = mid
         y = ws.eigvecs @ (beta / (d + np.exp(lo)))
+    residual = float(np.linalg.norm(ws.smooth_hessian @ y - b))
+    if residual > alpha * (1.0 + tol):
+        raise OptimizerNonConvergence(
+            f"no certified minimizer at alpha={alpha:.3e}: the residual on the formed "
+            f"control Hessian is {residual / alpha:.8f} alpha > (1 + {tol:.0e}) alpha"
+        )
 
     f_w = ws.chol_inv @ y
     f_full = np.zeros(m.box.size)
@@ -382,7 +397,7 @@ def minimal_l2_reconstruct(
     u_full = f_full.copy()
     u_full[sets.omega] = ws.state_map @ f_w
     phi_full = np.zeros(m.box.size)
-    phi_full[sets.omega] = sla.cho_solve(ws.a_oo_cho, -u_full[sets.omega])
+    phi_full[sets.omega] = np.linalg.solve(ws.a_oo, -u_full[sets.omega])
 
     h = m.box.spacing
     u_l2_sq = h * float(np.sum(u_full[sets.omega] ** 2))
@@ -391,7 +406,6 @@ def minimal_l2_reconstruct(
         - h * float(np.asarray(window_vals) @ f_w)
         + alpha * float(np.linalg.norm(y))
     )
-    residual = float(np.linalg.norm(ws.smooth_hessian @ y - b))
     return MinimalL2Result(
         f_hat=GridFunction(f_full, m.box),
         u_hat=GridFunction(u_full, m.box),

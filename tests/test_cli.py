@@ -1,7 +1,11 @@
 """Command-line front end: problem files, commands, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +236,27 @@ class TestReconstructCommand:
         assert code == EXIT_NONCONVERGENCE
         assert len(err) == 1 and err[0].startswith("error:") and "no minimizer" in err[0]
         assert not out.exists()
+
+    def test_child_run_loads_no_scipy(self, tmp_path):
+        # the command line path is numpy-only: scipy is a test dependency
+        example = Path(__file__).resolve().parents[1] / "problem.example.json"
+        script = (
+            "import sys\n"
+            "from fracrec.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(sorted(k for k in sys.modules if k.startswith('scipy')))\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(fr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "reconstruct", str(example),
+             str(tmp_path / "rep.json"), "--quiet"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_scheme_cross_check_at_matched_depth(self, tmp_path):
         # spectral and tikhonov runs at matched cutoffs give the same interior part

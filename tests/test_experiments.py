@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fracrec as fr
+import fracrec.experiments as experiments
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +172,54 @@ class TestStabilitySweep:
         cfg = fr.RegularizerConfig(scheme="spectral", alpha_schedule=np.array([1e-3]))
         with pytest.raises(ValueError, match="s_prime"):
             fr.stability_sweep(op_pipeline, cfg, 1, np.array([1e-3]), s_prime=0.5)
+
+
+def least_squares_log_modulus(eta, err, energy):
+    """The 12-start scipy least_squares fit of err ~ C*E / log(C*E/eta)^sigma
+    in (log C, log sigma) that `_fit_log_modulus` replaced."""
+    from scipy.optimize import least_squares
+
+    def resid(p):
+        c, sg = np.exp(p)
+        arg = np.maximum(c * energy / eta, 1.0 + 1e-9)
+        return np.log(c * energy / np.log(arg) ** sg) - np.log(err)
+
+    fits = [least_squares(resid, x0=[c0, s0])
+            for c0 in (-2.0, 0.0, 2.0, 5.0) for s0 in (-1.0, 0.0, 1.0)]
+    best = min(fits, key=lambda r: r.cost)
+    c, sg = np.exp(best.x)
+    return {"C": c, "sigma": sg, "residual": 2.0 * best.cost}
+
+
+class TestLogModulusFit:
+    def test_matches_multistart_least_squares(self, op_pipeline, monkeypatch):
+        # the reference stops at least_squares' default 1e-8 tolerances; the
+        # largest gaps seen on these ladders are 6.8e-6 in C and 7.3e-7 in sigma
+        fit = experiments._fit_log_modulus
+        ladders = []
+
+        def record(eta, err, energy):
+            ladders.append((eta, err, energy))
+            return fit(eta, err, energy)
+
+        monkeypatch.setattr(experiments, "_fit_log_modulus", record)
+        sigma1 = float(np.linalg.norm(op_pipeline.weighted, 2))  # acceptance 09's ladder
+        cfg = fr.RegularizerConfig(
+            scheme="spectral",
+            alpha_schedule=fr.default_alpha_schedule(sigma1, kmax=60, step=0.25),
+        )
+        fr.stability_sweep(op_pipeline, cfg, trials=5, noise_levels=10.0 ** np.linspace(-2, -8, 7),
+                           s_prime=0.25, seed=3)
+        rng = np.random.default_rng(7)
+        for _ in range(5):  # the log model with 10% log-normal scatter
+            energy, c, sg = rng.uniform(0.5, 2.0), 10 ** rng.uniform(0, 3), rng.uniform(0.5, 4)
+            eta = 10.0 ** np.linspace(-2, -8, 7) * rng.uniform(0.1, 10)
+            err = c * energy / np.log(c * energy / eta) ** sg
+            err *= np.exp(0.1 * rng.standard_normal(7))
+            ladders.append((eta, err, energy))
+        assert len(ladders) == 6
+        for eta, err, energy in ladders:
+            new, ref = fit(eta, err, energy), least_squares_log_modulus(eta, err, energy)
+            assert new["residual"] <= ref["residual"] * (1.0 + 1e-12)
+            assert new["C"] == pytest.approx(ref["C"], rel=1e-4)
+            assert new["sigma"] == pytest.approx(ref["sigma"], rel=1e-5)

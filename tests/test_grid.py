@@ -6,7 +6,9 @@ import scipy.linalg as sla
 
 import fracrec as fr
 
-from conftest import RADIUS, POINTS, S, random_omega_bump
+from conftest import (
+    OMEGA, POINTS, RADIUS, S, W1_PIPELINE, W2_PIPELINE, random_omega_bump,
+)
 
 
 class TestBuildBox:
@@ -271,3 +273,43 @@ class TestSobolevNorms:
         pairing = box.spacing * np.sum(hv[w2] * pv[w2])
         ratio = pairing / fr.hs_norm(mach, pf)
         assert ratio == pytest.approx(fr.hminus_s_norm(mach, hf, w2), rel=1e-10)
+
+
+# the dual weight Q against a Cholesky solve: the worst relative error seen
+# over these inputs is 2.8e-16 (N=512) and 9.1e-16 (N=4096)
+DUAL_ORACLE_RTOL = 1e-14
+
+
+def cho_solve_dual_norm(m, vals, region):
+    """sqrt(h^T M G^-1 M h) by a Cholesky solve with the gram_hs block."""
+    mh = m.mass[region] * vals
+    fac = sla.cho_factor(m.gram_hs[np.ix_(region, region)])
+    return float(np.sqrt(mh @ sla.cho_solve(fac, mh)))
+
+
+class TestDualWeightOracle:
+    @pytest.mark.parametrize("points", [512, 4096])
+    def test_dual_norms_match_cholesky_solve(self, points, rng):
+        box = fr.build_box(RADIUS, points)
+        m = fr.build_sobolev(box, fr.FractionalOrder(S))
+        sets = fr.build_index_sets(box, OMEGA, W1_PIPELINE, W2_PIPELINE)
+        op = fr.assemble_ucp(m, sets)
+        w2 = sets.w2
+        # pipeline data (bump potential and datum), exact and at noise 1e-4
+        q = fr.Potential(2.0 * fr.smooth_bump(box, 0.0, 0.5).values[sets.omega])
+        f = np.zeros(box.size)
+        f[sets.w1] = fr.smooth_bump(box, 4.5, 0.45).values[sets.w1]
+        f = fr.GridFunction(f, box)
+        data = [
+            fr.measurement_to_h(m, sets, fr.synthetic_measurement(
+                m, sets, q, f, noise_level=level, seed=1))
+            for level in (0.0, 1e-4)
+        ]
+        data += [rng.standard_normal(len(w2)) * 10.0 ** rng.uniform(-3, 3) for _ in range(20)]
+        for vals in data:
+            ref = cho_solve_dual_norm(m, vals, w2)
+            full = np.zeros(box.size)
+            full[w2] = vals
+            dual = fr.hminus_s_norm(m, fr.GridFunction(full, box), w2)
+            assert abs(dual - ref) <= DUAL_ORACLE_RTOL * ref
+            assert abs(op.dual_norm(vals) - ref) <= DUAL_ORACLE_RTOL * ref

@@ -10,7 +10,7 @@ from scipy.optimize import brentq
 
 import fracrec as fr
 
-from conftest import W1_PIPELINE, W2_PIPELINE, random_omega_bump
+from conftest import OMEGA, W1_PIPELINE, W2_PIPELINE, random_omega_bump
 
 
 def omega_vector(op, values_om):
@@ -385,6 +385,36 @@ class TestMinimalL2Scheme:
         res = fr.minimal_l2_reconstruct(mach, sets_pipeline, h, 1.01 * c)
         assert res.converged and np.all(np.isfinite(res.phi_hat.values))
         assert np.any(res.f_hat.values != 0.0)
+
+    def test_fails_closed_just_above_the_null_norm(self):
+        # with null/alpha in 0.6-0.99 the zeroed Hessian modes still act on the
+        # large null components of y in the formed residual ||S y - b||: the
+        # solve must raise rather than return a point above alpha (1 + tol)
+        from fracrec.ucp import _minl2_workspace
+
+        box = fr.build_box(16.0, 256)
+        m = fr.build_sobolev(box, fr.FractionalOrder(0.5))
+        sets = fr.build_index_sets(box, OMEGA, W1_PIPELINE, W2_PIPELINE)
+        q = fr.Potential(2.0 * fr.smooth_bump(box, 0.0, 0.5).values[sets.omega])
+        f = np.zeros(box.size)
+        f[sets.w1] = fr.smooth_bump(box, 4.5, 0.45).values[sets.w1]
+        f = fr.GridFunction(f, box)
+        ws = _minl2_workspace(m, sets, sets.w2)
+        tol, returned = 1e-10, 0
+        for level in (0.0, 1e-4, 1e-2):
+            rec = fr.synthetic_measurement(m, sets, q, f, noise_level=level, seed=1)
+            h = fr.measurement_to_h(m, sets, rec)
+            beta = ws.eigvecs.T @ ws.data_vector(h)
+            null = np.linalg.norm(beta[ws.eigvals == 0.0])
+            for ratio in (0.6, 0.8, 0.9, 0.95, 0.99):
+                alpha = null / ratio
+                try:
+                    res = fr.minimal_l2_reconstruct(m, sets, h, alpha, tol=tol)
+                except fr.OptimizerNonConvergence:
+                    continue
+                returned += 1
+                assert res.residual_dual <= alpha * (1.0 + tol)
+        assert returned > 0
 
     def test_nonconvergence_raises(self, mach, sets_pipeline, rng):
         # alpha far below the floating-point coercivity floor on pure noise
