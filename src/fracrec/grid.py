@@ -136,7 +136,9 @@ class Circulant:
 
     def __getitem__(self, key) -> np.ndarray:
         rows, cols = key
-        return self.col[(rows - cols) % len(self.col)]
+        # i - j lies in (-n, n) and numpy reads a negative index k as n + k,
+        # so this is col[(i - j) % n] without the modulo
+        return self.col[rows - cols]
 
     def rows(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -184,16 +186,39 @@ class SobolevMachinery:
 
         G = L L^T is the Cholesky factorization of the gram_hs block and
         M = diag(mass), so Q^T Q = M G^-1 M and ||Q h|| is the dual Sobolev
-        norm of h.  L^-1 is the inverse of the upper factor L^T, transposed:
-        that inversion needs no row exchanges, so it is a back substitution.
+        norm of h.
         """
         def build():
             chol = np.linalg.cholesky(self.gram_hs[np.ix_(region, region)])
-            q = np.tril(np.linalg.inv(chol.T).T) * self.mass[region]
+            q = tril_inverse(chol) * self.mass[region]
             q.flags.writeable = False
             return q
 
         return self.cached(region.tobytes(), build)
+
+
+# order at and below which `tril_inverse` inverts a block directly
+TRIL_LEAF = 64
+
+
+def tril_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower-triangular matrix, by the 2x2 block
+    recursion inv([[A, 0], [C, D]]) = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]:
+    about n^3 / 3 flops in matrix products, where a general inverse's LU
+    takes about 2.7 n^3.  A leaf inverts chol^T, transposed: an
+    upper-triangular LU needs no row exchanges.
+    """
+    n = len(chol)
+    if n <= TRIL_LEAF:
+        return np.tril(np.linalg.inv(chol.T).T)
+    k = n // 2
+    a_inv = tril_inverse(chol[:k, :k])
+    d_inv = tril_inverse(chol[k:, k:])
+    out = np.zeros_like(chol)
+    out[:k, :k] = a_inv
+    out[k:, k:] = d_inv
+    out[k:, :k] = -d_inv @ (chol[k:, :k] @ a_inv)
+    return out
 
 
 def _is_power_of_two(n: int) -> bool:

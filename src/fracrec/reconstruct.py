@@ -35,12 +35,11 @@ from .ucp import (
     OptimizerNonConvergence,
     RegularizerConfig,
     UcpOperator,
+    _filter_gains,
+    _filtered_solve,
     assemble_ucp,
     default_alpha_schedule,
     minimal_l2_reconstruct,
-    spectral_reconstruct,
-    tikhonov_reconstruct,
-    ucp_svd,
 )
 
 __all__ = [
@@ -108,6 +107,42 @@ def measurement_to_h(
     return rec.g - m.frac_lap.rows(sets.w2, rec.f.values)
 
 
+def _trace_norms(
+    op: UcpOperator, iterates: np.ndarray, window_vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of the omega iterates: the dual norm ||Q (B v - h)|| of
+    the window residual and the Sobolev norm ||R v||, on the assembled
+    operator."""
+    resid = op.range_weight @ (op.matrix @ iterates - window_vals[:, None])
+    return np.linalg.norm(resid, axis=0), np.linalg.norm(op.domain_chol @ iterates, axis=0)
+
+
+def _minimal_l2_iterates(
+    op: UcpOperator, window_vals: np.ndarray, cfg: RegularizerConfig, alphas, delta
+) -> np.ndarray:
+    """Minimal-L2 omega iterates as columns, one nonlinear solve per alpha,
+    up to the first whose dual residual reaches delta."""
+    cols: list = []
+    for alpha in alphas:
+        try:
+            res = minimal_l2_reconstruct(
+                op.machinery, op.sets, window_vals, alpha,
+                tol=cfg.inner_solver_tol,
+                max_iterations=cfg.max_inner_iterations,
+                window=op.window,
+            )
+        except OptimizerNonConvergence:
+            if not cols:
+                raise
+            # the data's null-space component does not depend on alpha:
+            # a smaller alpha only comes closer to it, or passes it
+            break
+        cols.append(res.phi_hat.values[op.sets.omega])
+        if delta is not None and _trace_norms(op, cols[-1][:, None], window_vals)[0][0] <= delta:
+            break
+    return np.stack(cols, axis=1)
+
+
 def recover_interior(
     op: UcpOperator,
     window_vals: np.ndarray,
@@ -116,55 +151,42 @@ def recover_interior(
 ) -> tuple[GridFunction, list]:
     """Step (2): run the selected scheme over the alpha schedule.
 
-    Returns the stop-rule iterate and the residual/penalty trace.  With the
-    fixed-list rule the final (smallest-alpha) iterate is returned; with
-    ("discrepancy", delta) the first iterate whose dual residual reaches
-    delta.  Without a schedule, default_alpha_schedule(sigma_1) is run.
-    Every scheme's trace row holds the dual norm of the window residual and
-    the Sobolev norm of the iterate; when `keep_iterates` is set it also
-    carries the iterate itself (small problems only).
+    Returns the stop-rule iterate and the residual/penalty trace; without a
+    schedule, default_alpha_schedule(sigma_1) is run.  spectral and tikhonov
+    get the whole schedule from one filtered solve, minimal_l2 solves one
+    alpha at a time.  Each trace row holds the dual norm of its iterate's
+    window residual and the iterate's Sobolev norm, both from the assembled
+    operator.  The fixed-list rule returns the last iterate;
+    ("discrepancy", delta) cuts the trace at the first row whose residual
+    is at or below delta and returns that row's iterate.  `keep_iterates`
+    adds each row's iterate to it (small problems only).
     """
     if cfg.alpha_schedule is None:
         alphas = default_alpha_schedule(float(op.svd_factors[1][0]))
     else:
         alphas = cfg.alpha_schedule
-    svd = ucp_svd(op) if cfg.scheme == "spectral" else None
+    delta = cfg.stop_rule[1] if cfg.stop_rule[0] == "discrepancy" else None
+    window_vals = np.asarray(window_vals, dtype=float)
+    if cfg.scheme == "minimal_l2":
+        iterates = _minimal_l2_iterates(op, window_vals, cfg, alphas, delta)
+    else:
+        gains = _filter_gains(cfg.scheme, op.svd_factors[1], alphas)
+        iterates, _ = _filtered_solve(op, window_vals, gains)
+    residuals, penalties = _trace_norms(op, iterates, window_vals)
 
-    kind = cfg.stop_rule[0]
-    delta = cfg.stop_rule[1] if kind == "discrepancy" else None
+    hits = np.flatnonzero(residuals <= delta) if delta is not None else []
+    n = hits[0] + 1 if len(hits) else len(residuals)
     trace: list = []
-    chosen: GridFunction | None = None
-    for alpha in alphas:
-        if cfg.scheme == "spectral":
-            v = spectral_reconstruct(svd, window_vals, alpha)
-        elif cfg.scheme == "tikhonov":
-            v, _ = tikhonov_reconstruct(op, window_vals, alpha)
-        else:
-            try:
-                res = minimal_l2_reconstruct(
-                    op.machinery, op.sets, window_vals, alpha,
-                    tol=cfg.inner_solver_tol,
-                    max_iterations=cfg.max_inner_iterations,
-                    window=op.window,
-                )
-            except OptimizerNonConvergence:
-                if chosen is None:
-                    raise
-                # the data's null-space component does not depend on alpha:
-                # a smaller alpha only comes closer to it, or passes it
-                break
-            v = res.phi_hat
-        residual = op.dual_norm(op.apply(v) - window_vals)
-        # hs_norm of the omega-supported iterate, without the N x N Gram product
-        penalty = float(np.linalg.norm(op.domain_chol @ v.values[op.sets.omega]))
-        row = {"alpha": float(alpha), "residual_dual": residual, "penalty_hs": penalty}
+    for k in range(n):
+        row = {
+            "alpha": float(alphas[k]),
+            "residual_dual": float(residuals[k]),
+            "penalty_hs": float(penalties[k]),
+        }
         if keep_iterates:
-            row["iterate"] = v
+            row["iterate"] = op.embed_domain(iterates[:, k])
         trace.append(row)
-        chosen = v
-        if delta is not None and residual <= delta:
-            break
-    return chosen, trace
+    return op.embed_domain(iterates[:, n - 1]), trace
 
 
 def quotient_q(

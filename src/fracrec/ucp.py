@@ -12,17 +12,21 @@ the SVD factors once, on first use, and keeps them.
 
 Inversion schemes:
 
-* spectral and tikhonov are one filtered solve on those factors: in the
-  Sobolev coordinates y = R w the solution is V diag(f(sigma)) U^T Q h,
-  with f(sigma) = 1[sigma >= alpha] / sigma (truncated SVD) or
+* spectral and tikhonov are filters on those factors: in the Sobolev
+  coordinates y = R w the solution is V diag(f(sigma)) U^T Q h, with
+  f(sigma) = 1[sigma >= alpha] / sigma (truncated SVD) or
   f(sigma) = sigma / (sigma^2 + alpha) (the minimizer of
-  ||L w - h||_dual^2 + alpha ||w||_Hs^2);
+  ||L w - h||_dual^2 + alpha ||w||_Hs^2).  One filtered solve takes a
+  K x r matrix of filter factors, one row per alpha, and returns the K
+  iterates as the columns of one matrix, so a whole alpha schedule costs
+  a few matrix products;
 * minimal_l2: convex control formulation over window-supported exterior
   data with a norm (not squared-norm) penalty, minimized exactly by one
   eigendecomposition of the control Hessian and a bisection for the root
   of the scalar secular equation; the dual-state solve converts the
   optimal control into the interior reconstruction and carries an
-  alpha-level residual certificate.
+  alpha-level residual certificate.  Each alpha is its own nonlinear
+  solve.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .forward import Potential, solve_dirichlet
-from .grid import GridFunction, IndexSets, SobolevMachinery
+from .grid import GridFunction, IndexSets, SobolevMachinery, tril_inverse
 
 __all__ = [
     "UcpOperator",
@@ -178,9 +182,10 @@ def assemble_ucp(
     if len(sets.omega) == 0 or len(w) == 0:
         raise ValueError("omega and the window must be nonempty")
     matrix = m.frac_lap[np.ix_(w, sets.omega)]
-    r = np.linalg.cholesky(m.gram_hs[np.ix_(sets.omega, sets.omega)]).T
-    # inverting an upper-triangular matrix needs no row exchanges
-    r_inv = np.triu(np.linalg.inv(r))
+    chol = np.linalg.cholesky(m.gram_hs[np.ix_(sets.omega, sets.omega)])
+    # R^-1 in C order: the layout picks the BLAS kernel, hence the rounding,
+    # of `weighted`, and its smallest singular triplets are that sensitive
+    r, r_inv = chol.T, np.ascontiguousarray(tril_inverse(chol).T)
     q = m.dual_weight(w)
     return UcpOperator(
         matrix=matrix,
@@ -211,26 +216,34 @@ def ucp_adjoint(op: UcpOperator, window_vals: np.ndarray) -> GridFunction:
     return op.embed_domain(op.solve_domain_chol(y))
 
 
+def _filter_gains(scheme: str, sig: np.ndarray, alphas) -> np.ndarray:
+    """K x r filter factors f_k(sigma) of `scheme`, one row per alpha_k:
+    1[sigma >= alpha] / sigma for "spectral", sigma / (sigma^2 + alpha)
+    for "tikhonov"."""
+    a = np.asarray(alphas, dtype=float)[:, None]
+    if scheme == "spectral":
+        keep = sig >= a
+        return np.divide(1.0, sig, out=np.zeros(keep.shape), where=keep)
+    return sig / (sig**2 + a)
+
+
 def _filtered_solve(
-    op: UcpOperator, window_vals: np.ndarray, gain: np.ndarray
+    op: UcpOperator, window_vals: np.ndarray, gains: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sobolev coordinates y = V diag(gain) U^T Q h of a filtered inversion,
-    returned with the weighted data Q h; `gain` holds f(sigma_k) per mode."""
+    """The omega iterates R^-1 V diag(g_k) U^T Q h, one column per row g_k
+    of the K x r `gains`, returned with the weighted data Q h."""
     u, _, vt = op.svd_factors
     qh = op.range_weight @ np.asarray(window_vals)
-    return vt.T @ (gain * (u.T @ qh)), qh
+    return op.domain_chol_inv @ (vt.T @ (gains * (u.T @ qh)).T), qh
 
 
 def spectral_reconstruct(svd: UcpSvd, window_vals: np.ndarray, alpha: float) -> GridFunction:
     """Truncated-SVD inversion keeping singular values >= alpha."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    sig = svd.sigmas
-    keep = sig >= alpha
-    gain = np.zeros(len(sig))
-    gain[keep] = 1.0 / sig[keep]
-    y, _ = _filtered_solve(svd.op, window_vals, gain)
-    return svd.op.embed_domain(svd.op.solve_domain_chol(y))
+    gains = _filter_gains("spectral", svd.sigmas, [alpha])
+    w, _ = _filtered_solve(svd.op, window_vals, gains)
+    return svd.op.embed_domain(w[:, 0])
 
 
 def tikhonov_reconstruct(
@@ -244,15 +257,17 @@ def tikhonov_reconstruct(
 
     Returns the minimizer and a diagnostics dict with the dual residual,
     the Sobolev penalty, and the relative gradient certificate of the
-    normal equations.  The certificate is evaluated with the assembled
-    weighted matrix, not the SVD factors (in whose coordinates it vanishes
-    by construction), so it checks the filtered solve independently.
+    normal equations.  The certificate is evaluated on the returned
+    iterate with the assembled weighted matrix, not the SVD factors (in
+    whose coordinates it vanishes by construction), so it checks the
+    filtered solve independently.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     sig = op.svd_factors[1]
-    y, qh = _filtered_solve(op, window_vals, sig / (sig**2 + alpha))
-    v = op.embed_domain(op.solve_domain_chol(y))
+    w, qh = _filtered_solve(op, window_vals, _filter_gains("tikhonov", sig, [alpha]))
+    w = w[:, 0]
+    y = op.domain_chol @ w
 
     lam = op.weighted
     resid_vec = lam @ y - qh
@@ -266,7 +281,7 @@ def tikhonov_reconstruct(
         "penalty_hs": float(np.linalg.norm(y)),
         "gradient_certificate": float(np.linalg.norm(grad) / scale) if scale > 0 else 0.0,
     }
-    return v, info
+    return op.embed_domain(w), info
 
 
 @dataclass

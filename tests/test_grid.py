@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 import fracrec as fr
+from fracrec.grid import tril_inverse
 
 from conftest import (
     OMEGA, POINTS, RADIUS, S, W1_PIPELINE, W2_PIPELINE, random_omega_bump,
@@ -313,3 +314,15 @@ class TestDualWeightOracle:
             dual = fr.hminus_s_norm(m, fr.GridFunction(full, box), w2)
             assert abs(dual - ref) <= DUAL_ORACLE_RTOL * ref
             assert abs(op.dual_norm(vals) - ref) <= DUAL_ORACLE_RTOL * ref
+
+
+class TestTrilInverse:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 448])
+    def test_identity_residual(self, mach, n):
+        idx = np.arange(n)
+        chol = np.linalg.cholesky(mach.gram_hs[np.ix_(idx, idx)])
+        inv = tril_inverse(chol)
+        assert not np.any(np.triu(inv, 1))
+        eye = np.eye(n)
+        assert np.linalg.norm(chol @ inv - eye, 2) <= 1e-14
+        assert np.linalg.norm(inv @ chol - eye, 2) <= 1e-14

@@ -237,6 +237,64 @@ class TestTraceRowNorms:
                 assert row["residual_dual"] == pytest.approx(resid, rel=1e-10)
 
 
+def per_alpha_reference(op, h, scheme, alphas, delta):
+    """Reference for the batched schedule, one alpha at a time: a filtered
+    solve by matrix-vector products, the embedding, the window image, its
+    dual norm and the R product."""
+    u, sig, vt = op.svd_factors
+    qh = op.range_weight @ h
+    trace, chosen = [], None
+    for alpha in alphas:
+        if scheme == "spectral":
+            keep = sig >= alpha
+            gain = np.zeros(len(sig))
+            gain[keep] = 1.0 / sig[keep]
+        else:
+            gain = sig / (sig**2 + alpha)
+        v = op.embed_domain(op.domain_chol_inv @ (vt.T @ (gain * (u.T @ qh))))
+        residual = op.dual_norm(op.apply(v) - h)
+        penalty = float(np.linalg.norm(op.domain_chol @ v.values[op.sets.omega]))
+        trace.append({"alpha": float(alpha), "residual_dual": residual, "penalty_hs": penalty})
+        chosen = v
+        if delta is not None and residual <= delta:
+            break
+    return chosen, trace
+
+
+class TestBatchedScheduleOracle:
+    @pytest.mark.parametrize("scheme", ["spectral", "tikhonov"])
+    @pytest.mark.parametrize("noise", [0.0, 1e-3])
+    def test_matches_per_alpha_loop(self, mach, sets_pipeline, op_pipeline, ground_truth,
+                                    scheme, noise):
+        q, f, _ = ground_truth
+        rec = fr.synthetic_measurement(mach, sets_pipeline, q, f, noise_level=noise, seed=7)
+        h = fr.measurement_to_h(mach, sets_pipeline, rec)
+        alphas = fr.default_alpha_schedule(float(op_pipeline.svd_factors[1][0]))
+        qh_norm = op_pipeline.dual_norm(h)
+        _, full = per_alpha_reference(op_pipeline, h, scheme, alphas, None)
+        res = [row["residual_dual"] for row in full]
+        # a delta between rows 5 and 6 stops mid-schedule, half the smallest
+        # residual is never met
+        assert res[5] > 1.01 * res[6]
+        stop_rules = {
+            "fixed": ("fixed_list",),
+            "mid": ("discrepancy", float(np.sqrt(res[5] * res[6]))),
+            "never": ("discrepancy", 0.5 * min(res)),
+        }
+        for name, stop in stop_rules.items():
+            delta = stop[1] if len(stop) > 1 else None
+            want_v, want = per_alpha_reference(op_pipeline, h, scheme, alphas, delta)
+            cfg = fr.RegularizerConfig(scheme=scheme, stop_rule=stop)
+            got_v, got = fr.recover_interior(op_pipeline, h, cfg)
+            assert len(got) == len(want) == (7 if name == "mid" else len(alphas)), name
+            for g, w in zip(got, want):
+                assert g["alpha"] == w["alpha"]
+                assert g["penalty_hs"] == pytest.approx(w["penalty_hs"], rel=1e-13, abs=0.0)
+                assert abs(g["residual_dual"] - w["residual_dual"]) <= 1e-14 * qh_norm
+            scale = np.abs(want_v.values).max()
+            assert np.abs(got_v.values - want_v.values).max() <= 1e-13 * scale, name
+
+
 class TestQuotient:
     def test_recovers_potential_from_true_state(
         self, mach, sets_pipeline, ground_truth
