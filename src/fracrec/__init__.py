@@ -11,8 +11,6 @@ from .grid import (
     build_box,
     build_index_sets,
     build_sobolev,
-    fraclap_apply,
-    fraclap_quadrature_oracle,
     hminus_s_inner,
     hminus_s_norm,
     hs_inner,
@@ -24,9 +22,7 @@ from .forward import (
     EigenvalueConditionError,
     ForwardSolution,
     Potential,
-    bq_eval,
     check_dirichlet_uniqueness,
-    dtn_apply,
     solve_dirichlet,
 )
 from .ucp import (
@@ -34,14 +30,12 @@ from .ucp import (
     OptimizerNonConvergence,
     RegularizerConfig,
     UcpOperator,
-    UcpSvd,
     assemble_ucp,
     default_alpha_schedule,
     minimal_l2_reconstruct,
     runge_approximate,
     spectral_reconstruct,
     tikhonov_reconstruct,
-    ucp_adjoint,
     ucp_svd,
 )
 from .reconstruct import (
@@ -49,7 +43,6 @@ from .reconstruct import (
     PipelineError,
     ReconstructionReport,
     full_pipeline,
-    infill_nearest,
     measurement_to_h,
     quotient_q,
     recover_interior,

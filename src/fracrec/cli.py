@@ -21,6 +21,7 @@ import os
 import sys
 import tempfile
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -232,8 +233,10 @@ def _parse_scheme(obj: dict) -> dict:
         raise ProblemValidationError(f"unknown scheme {name!r}")
     sched = obj.get("alpha_schedule", "auto")
     if sched != "auto":
-        if not (isinstance(sched, list) and sched):
-            raise ProblemValidationError("alpha_schedule must be 'auto' or a list")
+        if not (isinstance(sched, list) and sched and all(map(_is_number, sched))):
+            raise ProblemValidationError(
+                "alpha_schedule must be 'auto' or a nonempty list of finite numbers"
+            )
         sched = [float(a) for a in sched]
     stop = obj.get("stop_rule", "auto")
     if stop != "auto":
@@ -242,6 +245,8 @@ def _parse_scheme(obj: dict) -> dict:
             raise ProblemValidationError("stop_rule.kind must be fixed_list or discrepancy")
         if stop["kind"] == "discrepancy" and "delta" not in stop:
             raise ProblemValidationError("discrepancy stop rule needs a delta")
+        if "delta" in stop and not (_is_number(stop["delta"]) and stop["delta"] >= 0):
+            raise ProblemValidationError("stop_rule.delta must be a finite number >= 0")
     return {"name": name, "alpha_schedule": sched, "stop_rule": stop}
 
 
@@ -359,7 +364,7 @@ def _make_datum(cfg: dict, box: SimulationBox, sets: IndexSets) -> GridFunction:
     vals[sets.w1] = fn(box.nodes[sets.w1])
     if not np.any(vals != 0.0):
         raise ProblemValidationError("the exterior datum f must be nonzero")
-    return GridFunction(vals, box, support_tag="w1")
+    return GridFunction(vals, box)
 
 
 def _make_cfg(cfg: dict, h_dual: float | None = None) -> RegularizerConfig:
@@ -391,7 +396,7 @@ def _measurement(cfg: dict, m, sets, seed: int) -> MeasurementRecord:
             raise ProblemValidationError(
                 f"measured g has {len(g)} values, w2 has {len(sets.w2)} nodes"
             )
-        return MeasurementRecord(f=f, g=g, noise_level=cfg["noise"]["level"])
+        return MeasurementRecord(f=f, g=g)
     q = _make_potential(cfg, m.box, sets)
     return synthetic_measurement(
         m, sets, q, f, noise_level=cfg["noise"]["level"], seed=seed
@@ -472,8 +477,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_spectrum(args) -> int:
     cfg = load_problem(args.problem)
     box, m, sets = _build_scene(cfg)
-    svd = ucp_svd(assemble_ucp(m, sets))
-    rep = spectrum_report(svd)
+    rep = spectrum_report(ucp_svd(assemble_ucp(m, sets)))
     lines = ["j,sigma,log10_sigma"]
     for j, sg, lg in zip(rep["j"], rep["sigma"], rep["log10_sigma"]):
         lines.append(f"{j},{_fmt(sg)},{_fmt(lg)}")
@@ -530,13 +534,8 @@ def _cmd_stability(args) -> int:
     run_cfg = _make_cfg(cfg)
     if run_cfg.alpha_schedule is None:
         # the sweep must resolve noise floors far below the pipeline default
-        run_cfg = RegularizerConfig(
-            scheme=run_cfg.scheme,
-            alpha_schedule=default_alpha_schedule(op.svd_factors[1][0], kmax=48, step=0.25),
-        )
-    elif run_cfg.stop_rule[0] != "fixed_list":
-        run_cfg = RegularizerConfig(scheme=run_cfg.scheme,
-                                    alpha_schedule=run_cfg.alpha_schedule)
+        schedule = default_alpha_schedule(op.sigmas[0], kmax=48, step=0.25)
+        run_cfg = replace(run_cfg, alpha_schedule=schedule)
     seed = args.seed if args.seed is not None else cfg["noise"]["seed"]
     levels = np.asarray([float(v) for v in args.levels.split(",")])
     sweep = stability_sweep(
@@ -560,19 +559,11 @@ def _cmd_compare(args) -> int:
     cfg = load_problem(args.problem)
     box, m, sets = _build_scene(cfg)
     seed = args.seed if args.seed is not None else cfg["noise"]["seed"]
-    rec = _measurement(cfg, m, sets, seed)
     schemes = args.schemes.split(",")
-    results = {}
-    for name in schemes:
-        if name not in ("spectral", "tikhonov", "minimal_l2"):
-            print(f"error: unknown scheme {name!r}", file=sys.stderr)
-            return EXIT_VALIDATION
-    base = _make_cfg(cfg)
-    for name in schemes:
-        run_cfg = RegularizerConfig(scheme=name, alpha_schedule=base.alpha_schedule,
-                                    stop_rule=("fixed_list",))
-        report = full_pipeline(m, sets, rec, run_cfg, tau=cfg["tau"])
-        results[name] = report
+    schedule = _make_cfg(cfg).alpha_schedule
+    run_cfgs = [RegularizerConfig(scheme=name, alpha_schedule=schedule) for name in schemes]
+    rec = _measurement(cfg, m, sets, seed)
+    results = {c.scheme: full_pipeline(m, sets, rec, c, tau=cfg["tau"]) for c in run_cfgs}
     lines = ["scheme,mask_fraction,final_residual_dual"]
     for name in schemes:
         rep = results[name]
@@ -588,6 +579,14 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line with exit code 1;
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="override the problem seed")
@@ -595,7 +594,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker threads for sweep commands (results are order-independent)")
     common.add_argument("--quiet", action="store_true", help="suppress progress chatter")
 
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="fracrec",
         description=__doc__,
         parents=[common],

@@ -21,7 +21,7 @@ C*E / log(C*E/eta)^sigma and a power law to the (noise, error) pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .grid import (
     hs_norm,
     smooth_bump,
 )
-from .ucp import RegularizerConfig, UcpOperator, UcpSvd
+from .ucp import RegularizerConfig, UcpOperator
 from .reconstruct import recover_interior
 
 __all__ = [
@@ -72,9 +72,7 @@ class StabilitySweep:
     per_trial: np.ndarray         # levels x trials
     fitted_modulus: dict          # {"C", "sigma", "residual"}
     power_fit: dict               # {"C", "p", "residual"}
-    s_prime: float
     energy: float                 # Sobolev size of the exact unknown
-    seed: int
 
 
 def dirichlet_eigenfunctions(
@@ -99,7 +97,7 @@ def dirichlet_eigenfunctions(
         vals[om] = np.sin(k * np.pi * (x - a) / (b - a))
         nrm = np.sqrt(h * np.sum(vals[om] ** 2))
         vals /= nrm
-        out.append(GridFunction(vals, m.box, support_tag="omega"))
+        out.append(GridFunction(vals, m.box))
     return out
 
 
@@ -186,7 +184,7 @@ def instability_series(
         v = _moment_free(phi.values[om], y, k)
         vals = np.zeros(m.box.size)
         vals[om] = v / np.sqrt(h * np.sum(v**2))
-        vks.append(GridFunction(vals, m.box, support_tag="omega"))
+        vks.append(GridFunction(vals, m.box))
     ks = np.arange(1, k_max + 1)
     traces = [m.frac_lap.rows(sets.w2, vk.values) for vk in vks]
     norms = np.sqrt([hminus_s_inner(m, t, t, sets.w2) for t in traces])
@@ -253,7 +251,6 @@ def stability_sweep(
     trials: int,
     noise_levels: np.ndarray,
     s_prime: float,
-    truth: GridFunction | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> StabilitySweep:
@@ -264,23 +261,26 @@ def stability_sweep(
     data's dual norm, reconstruct with `cfg` (discrepancy stopping at
     1.5 * eta * ||h||), and record the error in the order-`s_prime` Sobolev
     norm.  Each (level, trial) pair owns its own seeded generator stream.
+
+    Raises ValueError unless trials >= 1, every level is finite and >= 0,
+    and at least two levels are positive (the fits need two points).
     """
     m = op.machinery
     if not (s_prime < m.order.s):
         raise ValueError("s_prime must be strictly below the operator order")
     noise_levels = np.asarray(noise_levels, dtype=float)
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not np.all(np.isfinite(noise_levels) & (noise_levels >= 0)):
+        raise ValueError("noise levels must be finite and >= 0")
+    if np.count_nonzero(noise_levels > 0) < 2:
+        raise ValueError("the noise ladder needs at least two positive levels")
     m_weak = build_sobolev(m.box, FractionalOrder(s_prime)) if s_prime > 0 else None
 
-    if truth is None:
-        om_nodes = m.box.nodes[op.sets.omega]
-        center = 0.5 * (om_nodes[0] + om_nodes[-1])
-        width = 0.6 * 0.5 * (om_nodes[-1] - om_nodes[0] + m.box.spacing)
-        truth = smooth_bump(m.box, center, width)
-        vals = truth.values.copy()
-        keep = np.zeros(m.box.size, dtype=bool)
-        keep[op.sets.omega] = True
-        vals[~keep] = 0.0
-        truth = GridFunction(vals, m.box, support_tag="omega")
+    om_nodes = m.box.nodes[op.sets.omega]
+    center = 0.5 * (om_nodes[0] + om_nodes[-1])
+    width = 0.6 * 0.5 * (om_nodes[-1] - om_nodes[0] + m.box.spacing)
+    truth = op.embed_domain(smooth_bump(m.box, center, width).values[op.sets.omega])
     energy = hs_norm(m, truth)
     h_exact = op.apply(truth)
     h_norm = op.dual_norm(h_exact)
@@ -301,14 +301,8 @@ def stability_sweep(
         else:
             noise = np.zeros(op.n_window)
         data = h_exact + noise
-        run_cfg = RegularizerConfig(
-            scheme=cfg.scheme,
-            alpha_schedule=cfg.alpha_schedule,
-            stop_rule=("discrepancy", 1.5 * lvl * h_norm) if lvl > 0 else ("fixed_list",),
-            inner_solver_tol=cfg.inner_solver_tol,
-            max_inner_iterations=cfg.max_inner_iterations,
-        )
-        v, _ = recover_interior(op, data, run_cfg)
+        stop = ("discrepancy", 1.5 * lvl * h_norm) if lvl > 0 else ("fixed_list",)
+        v, _ = recover_interior(op, data, replace(cfg, stop_rule=stop))
         return weak_err(v)
 
     pairs = [(i, t) for i in range(len(noise_levels)) for t in range(trials)]
@@ -333,23 +327,21 @@ def stability_sweep(
         per_trial=per_trial,
         fitted_modulus=_fit_log_modulus(eta, err, energy),
         power_fit=_fit_power_law(eta, err),
-        s_prime=s_prime,
         energy=energy,
-        seed=seed,
     )
 
 
-def spectrum_report(svd: UcpSvd) -> dict:
+def spectrum_report(op: UcpOperator) -> dict:
     """Tabulate the singular spectrum with a log-decay fit over the leading modes."""
-    sig = svd.sigmas
+    sig = op.sigmas
     j = np.arange(1, len(sig) + 1)
-    lead = min(20, svd.numerical_rank)
+    lead = min(20, op.numerical_rank)
     fit = fit_loglinear(j[:lead].astype(float), sig[:lead])
     return {
         "j": j,
         "sigma": sig,
         "log10_sigma": np.log10(np.maximum(sig, np.finfo(float).tiny)),
-        "numerical_rank": svd.numerical_rank,
+        "numerical_rank": op.numerical_rank,
         "slope": fit["slope"],
         "r2": fit["r2"],
     }

@@ -1,10 +1,10 @@
-"""Well-posed forward problem: interior solve, exterior data, measurement map.
+"""Well-posed forward problem: solvability check and interior solve.
 
 Given exterior values f and a potential q on the interior region, the
 discrete state u satisfies the interior collocation equations
 (A u)|_omega + q * u|_omega = 0 with u = f on the exterior, where A is the
-fractional Laplacian matrix.  The measurement map sends f to (A u)
-restricted to an exterior window.
+fractional Laplacian matrix.  The measurement map, f to (A u) restricted to
+an exterior window, is formed from u by `reconstruct.synthetic_measurement`.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ __all__ = [
     "EigenvalueConditionError",
     "check_dirichlet_uniqueness",
     "solve_dirichlet",
-    "dtn_apply",
-    "bq_eval",
 ]
 
 # relative threshold on the smallest singular value of the interior block
@@ -58,17 +56,12 @@ class Potential:
         if self.regularity_tag not in ("bounded", "continuous"):
             raise ValueError(f"unknown regularity tag {self.regularity_tag!r}")
 
-    @property
-    def sup_norm(self) -> float:
-        return float(np.abs(self.values).max()) if len(self.values) else 0.0
-
 
 @dataclass
 class ForwardSolution:
-    """State u together with its exterior datum and solve diagnostics."""
+    """State u together with its solve diagnostics."""
 
     u: GridFunction
-    f: GridFunction
     interior_residual: float
     solver_conditioning: float
 
@@ -127,35 +120,4 @@ def solve_dirichlet(
     residual = l2_norm(m, res_vec) / un if un > 0 else 0.0
     fn = hs_norm(m, f)
     conditioning = un / fn if fn > 0 else 0.0
-    return ForwardSolution(u=u, f=f.copy(), interior_residual=residual,
-                           solver_conditioning=conditioning)
-
-
-def dtn_apply(
-    m: SobolevMachinery,
-    sets: IndexSets,
-    q: Potential,
-    f: GridFunction,
-    where: np.ndarray,
-) -> np.ndarray:
-    """Measurement map: values of A u on the node set `where` (inside the exterior)."""
-    if not np.isin(where, sets.exterior).all():
-        raise ValueError("measurement nodes must lie in the exterior")
-    sol = solve_dirichlet(m, sets, q, f)
-    return m.frac_lap.rows(where, sol.u.values)
-
-
-def bq_eval(
-    m: SobolevMachinery,
-    sets: IndexSets,
-    q: Potential,
-    u: GridFunction,
-    w: GridFunction,
-) -> float:
-    """Symmetric energy form: (A u, w)_L2 + (q u, w)_L2(omega)."""
-    h = m.box.spacing
-    su = np.flatnonzero(u.values)
-    quad = h * float(u.values[su] @ m.frac_lap.rows(su, w.values))
-    om = sets.omega
-    quad += h * float(np.sum(q.values * u.values[om] * w.values[om]))
-    return quad
+    return ForwardSolution(u=u, interior_residual=residual, solver_conditioning=conditioning)

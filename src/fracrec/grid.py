@@ -9,15 +9,10 @@ inhomogeneous symbol (1 + |xi|^2)^s.  Both circulants are held as their
 first column (`Circulant`); every solve gathers only the blocks it uses,
 between the rows it needs and the support of its vector, so no N x N matrix
 is ever formed.
-
-An independent quadrature oracle (`fraclap_quadrature_oracle`) evaluates the
-singular-integral definition directly and is used to cross-validate the
-spectral matrix, quantifying the periodization error.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 
@@ -33,8 +28,6 @@ __all__ = [
     "build_box",
     "build_index_sets",
     "build_sobolev",
-    "fraclap_apply",
-    "fraclap_quadrature_oracle",
     "hs_inner",
     "hs_norm",
     "l2_norm",
@@ -85,15 +78,10 @@ class IndexSets:
 
 @dataclass
 class GridFunction:
-    """Real-valued function sampled on the box nodes.
-
-    ``support_tag`` marks functions known to vanish outside a region
-    ("omega", "w1", "w2"); it is advisory and never checked.
-    """
+    """Real-valued function sampled on the box nodes."""
 
     values: np.ndarray
     box: SimulationBox
-    support_tag: str | None = None
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
@@ -103,7 +91,7 @@ class GridFunction:
             )
 
     def copy(self) -> "GridFunction":
-        return GridFunction(self.values.copy(), self.box, self.support_tag)
+        return GridFunction(self.values.copy(), self.box)
 
 
 @dataclass(frozen=True)
@@ -117,14 +105,24 @@ class FractionalOrder:
             raise ValueError(f"fractional order must lie in (0,1), got {self.s}")
 
 
+# block entries past which `Circulant.rows` forms its product by rFFT
+GATHER_MAX_ENTRIES = 2**26
+
+
 class Circulant:
     """Symmetric n x n circulant matrix C[i, j] = col[(i - j) % n], held as
     its first column.
 
     ``C[np.ix_(rows, cols)]`` gathers a block from the column,
-    ``C.rows(rows, x)`` is ``(C @ x)[rows]`` summed over the nonzero entries
-    of x only, and ``C @ x`` is that product on every row.  ``nbytes`` counts
-    the bytes held; ``np.asarray(C)`` forms the dense matrix (small n only).
+    ``C.rows(rows, x)`` is ``(C @ x)[rows]`` and ``C @ x`` is that product
+    on every row.  ``nbytes`` counts the bytes held; ``np.asarray(C)`` forms
+    the dense matrix (small n only).
+
+    ``rows`` gathers the |rows| x |supp x| block and sums over the support
+    of x only.  Past GATHER_MAX_ENTRIES = 2**26 block entries (1 GiB of
+    index and values) it takes the whole product by rFFT, in O(n) memory.
+    The CLI's footprint budget (32 K^2 <= 2e9 bytes for K region nodes)
+    keeps every product a CLI verb makes on the gather path.
     """
 
     def __init__(self, col: np.ndarray):
@@ -143,6 +141,9 @@ class Circulant:
     def rows(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         supp = np.flatnonzero(x)
+        if len(rows) * len(supp) > GATHER_MAX_ENTRIES:
+            n = len(self.col)
+            return np.fft.irfft(np.fft.rfft(self.col) * np.fft.rfft(x), n)[rows]
         return self[np.ix_(rows, supp)] @ x[supp]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
@@ -332,12 +333,6 @@ def _check_same_box(m: SobolevMachinery, u: GridFunction) -> None:
         raise ValueError("grid function lives on a different box than the machinery")
 
 
-def fraclap_apply(m: SobolevMachinery, u: GridFunction) -> GridFunction:
-    """Apply the collocation fractional Laplacian: exact matrix-vector product."""
-    _check_same_box(m, u)
-    return GridFunction(m.frac_lap @ u.values, m.box)
-
-
 def hs_inner(m: SobolevMachinery, u: GridFunction, v: GridFunction) -> float:
     """Inhomogeneous Sobolev inner product u^T G_s v, over the supports of u and v."""
     _check_same_box(m, u)
@@ -393,85 +388,3 @@ def bump_values(x: np.ndarray, center: float, width: float, amplitude: float = 1
     inside = np.abs(t) < 1.0
     vals[inside] = amplitude * np.exp(1.0 - 1.0 / (1.0 - t[inside] ** 2))
     return vals
-
-
-def _power_integral(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
-    # int_a^b d^p dd, 0 < a < b, with the log branch at p = -1
-    if abs(p + 1.0) < 1e-13:
-        return np.log(b / a)
-    return (b ** (p + 1.0) - a ** (p + 1.0)) / (p + 1.0)
-
-
-def fraclap_quadrature_oracle(
-    u: GridFunction,
-    order: FractionalOrder,
-    eval_points: np.ndarray,
-) -> np.ndarray:
-    """Evaluate the singular-integral fractional Laplacian at selected nodes.
-
-    Independent of the spectral matrix: computes
-    c_s * PV int (u(x) - u(y)) / |x - y|^(1+2s) dy
-    by product integration with exact per-cell kernel moments against a
-    local quadratic model of u on every non-central cell, an exact tail
-    formula for the u(x) contribution, and a Taylor correction (with
-    fourth-order difference stencils) across the central cell, where the
-    principal value lives.  Second-order accurate overall; requires u to
-    vanish near the box ends.
-
-    Parameters
-    ----------
-    u : GridFunction
-        Compactly supported sample; support must stay 4 cells away from
-        the box boundary.
-    order : FractionalOrder
-    eval_points : ndarray of node indices
-
-    Returns
-    -------
-    ndarray of values at `eval_points`.
-    """
-    s = order.s
-    box = u.box
-    x = box.nodes
-    h = box.spacing
-    n = box.size
-    vals = u.values
-    if np.any(vals[:4] != 0.0) or np.any(vals[-4:] != 0.0):
-        raise ValueError("support of u touches the box boundary")
-
-    cns = 4.0 ** s * math.gamma(0.5 + s) / (np.sqrt(np.pi) * abs(math.gamma(-s)))
-    du = np.zeros(n)
-    du[2:-2] = (-vals[4:] + 8.0 * vals[3:-1] - 8.0 * vals[1:-3] + vals[:-4]) / (12.0 * h)
-    d2u = np.zeros(n)
-    d2u[2:-2] = (
-        -vals[4:] + 16.0 * vals[3:-1] - 30.0 * vals[2:-2] + 16.0 * vals[1:-3] - vals[:-4]
-    ) / (12.0 * h ** 2)
-    d4u = np.zeros(n)
-    d4u[2:-2] = (
-        vals[4:] - 4.0 * vals[3:-1] + 6.0 * vals[2:-2] - 4.0 * vals[1:-3] + vals[:-4]
-    ) / h ** 4
-
-    delta = 0.5 * h
-    support = np.nonzero((vals != 0.0) | (du != 0.0) | (d2u != 0.0))[0]
-    out = np.empty(len(eval_points))
-    for t, i in enumerate(np.asarray(eval_points)):
-        far = support[support != i]
-        d = np.abs(x[far] - x[i])
-        a = d - 0.5 * h
-        b = d + 0.5 * h
-        sgn = np.sign(x[far] - x[i])
-        m0 = _power_integral(a, b, -1.0 - 2.0 * s)
-        i1 = _power_integral(a, b, -2.0 * s)
-        m1 = i1 - d * m0
-        i2 = _power_integral(a, b, 1.0 - 2.0 * s)
-        m2 = i2 - 2.0 * d * i1 + d * d * m0
-        far_integral = np.sum(
-            vals[far] * m0 + sgn * du[far] * m1 + 0.5 * d2u[far] * m2
-        )
-        tail = vals[i] * (delta ** (-2.0 * s) / s)
-        central = (
-            -(d2u[i] / 2.0) * (2.0 * delta ** (2.0 - 2.0 * s) / (2.0 - 2.0 * s))
-            - (d4u[i] / 24.0) * (2.0 * delta ** (4.0 - 2.0 * s) / (4.0 - 2.0 * s))
-        )
-        out[t] = cns * (tail - far_integral + central)
-    return out

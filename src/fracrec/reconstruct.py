@@ -51,7 +51,6 @@ __all__ = [
     "quotient_q",
     "full_pipeline",
     "synthetic_measurement",
-    "infill_nearest",
 ]
 
 
@@ -69,7 +68,6 @@ class MeasurementRecord:
 
     f: GridFunction
     g: np.ndarray                 # values on the w2 nodes
-    noise_level: float = 0.0
 
     def __post_init__(self) -> None:
         self.g = np.asarray(self.g, dtype=float)
@@ -77,8 +75,6 @@ class MeasurementRecord:
             raise ValueError("the measured values g must be finite")
         if not np.any(self.f.values != 0.0):
             raise ValueError("the exterior datum f must be nonzero")
-        if self.noise_level < 0:
-            raise ValueError("noise level must be >= 0")
 
 
 @dataclass
@@ -162,7 +158,7 @@ def recover_interior(
     adds each row's iterate to it (small problems only).
     """
     if cfg.alpha_schedule is None:
-        alphas = default_alpha_schedule(float(op.svd_factors[1][0]))
+        alphas = default_alpha_schedule(float(op.sigmas[0]))
     else:
         alphas = cfg.alpha_schedule
     delta = cfg.stop_rule[1] if cfg.stop_rule[0] == "discrepancy" else None
@@ -170,7 +166,7 @@ def recover_interior(
     if cfg.scheme == "minimal_l2":
         iterates = _minimal_l2_iterates(op, window_vals, cfg, alphas, delta)
     else:
-        gains = _filter_gains(cfg.scheme, op.svd_factors[1], alphas)
+        gains = _filter_gains(cfg.scheme, op.sigmas, alphas)
         iterates, _ = _filtered_solve(op, window_vals, gains)
     residuals, penalties = _trace_norms(op, iterates, window_vals)
 
@@ -252,21 +248,6 @@ def full_pipeline(
     )
 
 
-def infill_nearest(
-    sets: IndexSets, q_vals: np.ndarray, mask: np.ndarray
-) -> np.ndarray:
-    """Optional nearest-unmasked-neighbor infill for masked quotient nodes."""
-    if not mask.any():
-        return q_vals.copy()
-    if mask.all():
-        raise ValueError("every node is masked; nothing to infill from")
-    out = q_vals.copy()
-    good = np.nonzero(~mask)[0]
-    for i in np.nonzero(mask)[0]:
-        out[i] = q_vals[good[np.argmin(np.abs(good - i))]]
-    return out
-
-
 def _pair_average(vals: np.ndarray) -> np.ndarray:
     return 0.5 * (vals[0::2] + vals[1::2])
 
@@ -294,6 +275,8 @@ def synthetic_measurement(
     Noise is additive Gaussian on g with standard deviation
     noise_level * max|g|, drawn from a generator seeded by `seed`.
     """
+    if noise_level < 0:
+        raise ValueError("noise level must be >= 0")
     if fine_factor == 1:
         g = m.frac_lap.rows(sets.w2, solve_dirichlet(m, sets, q, f).u.values)
     elif fine_factor == 2:
@@ -318,4 +301,4 @@ def synthetic_measurement(
     if noise_level > 0:
         rng = np.random.default_rng(seed)
         g = g + rng.standard_normal(len(g)) * (noise_level * float(np.abs(g).max()))
-    return MeasurementRecord(f=f.copy(), g=g, noise_level=noise_level)
+    return MeasurementRecord(f=f.copy(), g=g)

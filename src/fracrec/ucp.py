@@ -8,7 +8,8 @@ the dual Sobolev inner product on W, so the singular value decomposition is
 computed for the congruence-transformed matrix Q B R^{-1} = U diag(sigma) V^T,
 where G_omega = R^T R and the dual Gram on W equals Q^T Q (Q is the
 machinery's cached dual weight).  Each operator holds R^{-1} and computes
-the SVD factors once, on first use, and keeps them.
+the SVD factors once, on first use, and keeps them; the singular values,
+the numerical rank and the modes are read from the operator.
 
 Inversion schemes:
 
@@ -41,13 +42,11 @@ from .grid import GridFunction, IndexSets, SobolevMachinery, tril_inverse
 
 __all__ = [
     "UcpOperator",
-    "UcpSvd",
     "RegularizerConfig",
     "MinimalL2Result",
     "OptimizerNonConvergence",
     "assemble_ucp",
     "ucp_svd",
-    "ucp_adjoint",
     "spectral_reconstruct",
     "tikhonov_reconstruct",
     "minimal_l2_reconstruct",
@@ -67,7 +66,8 @@ class OptimizerNonConvergence(RuntimeError):
 
 @dataclass
 class UcpOperator:
-    """Dense realization of the interior-to-window map with its weighted geometry."""
+    """Dense realization of the interior-to-window map with its weighted
+    geometry and, formed on first read, its weighted SVD."""
 
     matrix: np.ndarray            # |W| x |omega|, rows are window nodes
     sets: IndexSets
@@ -100,7 +100,7 @@ class UcpOperator:
     def embed_domain(self, v_omega: np.ndarray) -> GridFunction:
         out = np.zeros(self.machinery.box.size)
         out[self.sets.omega] = v_omega
-        return GridFunction(out, self.machinery.box, support_tag="omega")
+        return GridFunction(out, self.machinery.box)
 
     def apply(self, v: GridFunction) -> np.ndarray:
         return self.matrix @ v.values[self.sets.omega]
@@ -109,33 +109,30 @@ class UcpOperator:
         """Dual Sobolev norm of values given on the window."""
         return float(np.linalg.norm(self.range_weight @ window_vals))
 
-    def solve_domain_chol(self, y: np.ndarray) -> np.ndarray:
-        """R^{-1} y."""
-        return self.domain_chol_inv @ y
+    @property
+    def sigmas(self) -> np.ndarray:
+        """Descending singular values."""
+        return self.svd_factors[1]
 
-
-@dataclass
-class UcpSvd:
-    """Weighted SVD of the interior-to-window operator; the modes are formed
-    on first read."""
-
-    op: UcpOperator
-    sigmas: np.ndarray            # descending positive singular values
-    numerical_rank: int
+    @property
+    def numerical_rank(self) -> int:
+        """Number of singular values above RANK_RTOL * sigma_1."""
+        sig = self.sigmas
+        return int(np.sum(sig > RANK_RTOL * sig[0])) if len(sig) else 0
 
     @cached_property
     def domain_modes(self) -> np.ndarray:
         """|omega| x r modes R^{-1} V, orthonormal in G_omega."""
-        return self.op.domain_chol_inv @ self.op.svd_factors[2].T
+        return self.domain_chol_inv @ self.svd_factors[2].T
 
     @cached_property
     def range_modes(self) -> np.ndarray:
         """|W| x r modes Q^{-1} U, orthonormal in the dual Gram."""
-        return np.linalg.solve(self.op.range_weight, self.op.svd_factors[0])
+        return np.linalg.solve(self.range_weight, self.svd_factors[0])
 
     def range_coefficients(self, window_vals: np.ndarray) -> np.ndarray:
         """Dual inner products of `window_vals` with every range mode."""
-        return self.op.svd_factors[0].T @ (self.op.range_weight @ window_vals)
+        return self.svd_factors[0].T @ (self.range_weight @ window_vals)
 
 
 @dataclass
@@ -158,12 +155,15 @@ class RegularizerConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.alpha_schedule is not None:
             a = np.asarray(self.alpha_schedule, dtype=float)
-            if len(a) == 0 or np.any(a <= 0) or np.any(np.diff(a) >= 0):
-                raise ValueError("alpha schedule must be strictly decreasing and positive")
+            if (len(a) == 0 or not np.all(np.isfinite(a)) or np.any(a <= 0)
+                    or np.any(np.diff(a) >= 0)):
+                raise ValueError("alpha schedule must be finite, positive and strictly decreasing")
             self.alpha_schedule = a
         kind = self.stop_rule[0]
         if kind not in ("fixed_list", "discrepancy"):
             raise ValueError(f"unknown stop rule {kind!r}")
+        if kind == "discrepancy" and not np.isfinite(self.stop_rule[1]):
+            raise ValueError("discrepancy delta must be finite")
 
 
 def default_alpha_schedule(sigma1: float, kmax: int = 12, step: float = 0.5) -> np.ndarray:
@@ -199,21 +199,10 @@ def assemble_ucp(
     )
 
 
-def ucp_svd(op: UcpOperator) -> UcpSvd:
-    """Weighted singular value decomposition of the assembled operator."""
-    sig = op.svd_factors[1]
-    rank = int(np.sum(sig > RANK_RTOL * sig[0])) if len(sig) else 0
-    return UcpSvd(op=op, sigmas=sig, numerical_rank=rank)
-
-
-def ucp_adjoint(op: UcpOperator, window_vals: np.ndarray) -> GridFunction:
-    """Adjoint with respect to the weighted inner products.
-
-    Returns the omega-supported function a with
-    <a, v>_Hs = <window_vals, L v>_dual for every omega-supported v.
-    """
-    y = op.weighted.T @ (op.range_weight @ np.asarray(window_vals))
-    return op.embed_domain(op.solve_domain_chol(y))
+def ucp_svd(op: UcpOperator) -> UcpOperator:
+    """Compute the operator's weighted SVD factors and return the operator."""
+    op.svd_factors  # the cached property computes and keeps the factors
+    return op
 
 
 def _filter_gains(scheme: str, sig: np.ndarray, alphas) -> np.ndarray:
@@ -237,13 +226,12 @@ def _filtered_solve(
     return op.domain_chol_inv @ (vt.T @ (gains * (u.T @ qh)).T), qh
 
 
-def spectral_reconstruct(svd: UcpSvd, window_vals: np.ndarray, alpha: float) -> GridFunction:
+def spectral_reconstruct(op: UcpOperator, window_vals: np.ndarray, alpha: float) -> GridFunction:
     """Truncated-SVD inversion keeping singular values >= alpha."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    gains = _filter_gains("spectral", svd.sigmas, [alpha])
-    w, _ = _filtered_solve(svd.op, window_vals, gains)
-    return svd.op.embed_domain(w[:, 0])
+    w, _ = _filtered_solve(op, window_vals, _filter_gains("spectral", op.sigmas, [alpha]))
+    return op.embed_domain(w[:, 0])
 
 
 def tikhonov_reconstruct(
@@ -264,7 +252,7 @@ def tikhonov_reconstruct(
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    sig = op.svd_factors[1]
+    sig = op.sigmas
     w, qh = _filtered_solve(op, window_vals, _filter_gains("tikhonov", sig, [alpha]))
     w = w[:, 0]
     y = op.domain_chol @ w
@@ -424,7 +412,7 @@ def minimal_l2_reconstruct(
     return MinimalL2Result(
         f_hat=GridFunction(f_full, m.box),
         u_hat=GridFunction(u_full, m.box),
-        phi_hat=GridFunction(phi_full, m.box, support_tag="omega"),
+        phi_hat=GridFunction(phi_full, m.box),
         j_value=j_val,
         residual_dual=residual,
         iterations=it,
@@ -474,4 +462,4 @@ def runge_approximate(
     err = float(np.sqrt(h * np.sum((target - columns @ coef) ** 2)))
     f_full = np.zeros(m.box.size)
     f_full[sets.w1] = basis @ coef
-    return GridFunction(f_full, m.box, support_tag="w1"), err
+    return GridFunction(f_full, m.box), err

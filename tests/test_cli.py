@@ -142,6 +142,45 @@ class TestMalformedInput:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
 
+    @pytest.mark.parametrize("scheme, extra", [
+        ({"stop_rule": {"kind": "discrepancy", "delta": None}}, []),
+        ({"stop_rule": {"kind": "discrepancy", "delta": [1]}}, []),
+        ({"stop_rule": {"kind": "discrepancy", "delta": float("nan")}}, []),
+        ({"stop_rule": {"kind": "discrepancy", "delta": -1.0}}, []),
+        ({"alpha_schedule": [1e-2, float("nan"), 1e-4]}, []),
+        ({}, ["--alpha-list", "1e-2,nan,1e-4"]),
+    ], ids=["delta-null", "delta-list", "delta-nan", "delta-negative", "schedule-nan",
+            "alpha-list-nan"])
+    def test_malformed_scheme_number_exits_1(self, tmp_path, capsys, scheme, extra):
+        doc = base_problem()
+        doc["scheme"].update(scheme)
+        path = write_problem(tmp_path, doc)
+        out = tmp_path / "rep.json"
+        assert main(["reconstruct", path, str(out)] + extra) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["reconstruct", "p.json", "o.json", "--bogus"],
+        ["stability", "p.json", "o.csv", "--trials", "abc"],
+        [],
+    ], ids=["unknown-option", "non-integer-trials", "missing-verb"])
+    def test_usage_error_exits_1_with_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "--alpha-list" in capsys.readouterr().out
+
 
 class TestFootprintBudget:
     REGIONS = [(-1.0, 1.0), (4.0, 5.0), (-3.0, -1.25), (1.25, 3.0)]
@@ -407,6 +446,20 @@ class TestStabilityCommand:
         assert np.all(np.diff(errs) <= 1e-12)
         sigma = float(next(l for l in lines if "log_modulus_sigma" in l).split(",")[1])
         assert sigma > 0
+
+    @pytest.mark.parametrize("extra", [
+        ["--trials", "0"],
+        ["--levels", "1e-2,-1e-4,1e-6"],
+        ["--levels", "1e-2,nan,1e-6"],
+        ["--levels", "0,1e-3"],
+    ], ids=["no-trials", "negative-level", "nan-level", "one-positive-level"])
+    def test_malformed_noise_ladder_exits_1(self, tmp_path, capsys, extra):
+        path = write_problem(tmp_path, base_problem())
+        out = tmp_path / "st.csv"
+        assert main(["stability", path, str(out), "--trials", "1"] + extra) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
 
 
 class TestCompareCommand:

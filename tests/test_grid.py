@@ -1,15 +1,19 @@
 """Discretization substrate: box, index sets, operator and norm machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 import fracrec as fr
+import fracrec.grid as grid
 from fracrec.grid import tril_inverse
 
 from conftest import (
     OMEGA, POINTS, RADIUS, S, W1_PIPELINE, W2_PIPELINE, random_omega_bump,
 )
+import reference as ref
 
 
 class TestBuildBox:
@@ -94,17 +98,17 @@ class TestOperatorMatrix:
         # lattice-compatible wavenumber: xi = pi k / R
         xi = np.pi * 7 / RADIUS
         wave = fr.GridFunction(np.cos(xi * box.nodes), box)
-        out = fr.fraclap_apply(mach, wave)
+        out = ref.fraclap_apply(mach, wave)
         assert np.allclose(out.values, xi ** (2 * S) * wave.values, atol=1e-10)
 
     def test_zero_maps_to_zero(self, mach, box):
-        out = fr.fraclap_apply(mach, fr.GridFunction(np.zeros(box.size), box))
+        out = ref.fraclap_apply(mach, fr.GridFunction(np.zeros(box.size), box))
         assert np.all(out.values == 0.0)
 
     def test_box_mismatch_rejected(self, mach):
         other = fr.build_box(8.0, 128)
         with pytest.raises(ValueError, match="different box"):
-            fr.fraclap_apply(mach, fr.GridFunction(np.zeros(128), other))
+            ref.fraclap_apply(mach, fr.GridFunction(np.zeros(128), other))
 
     def test_sball_closed_form(self, mach, box, sets_classic):
         # (1-x^2)_+^(1/2) has constant fractional Laplacian 1 inside (-1,1)
@@ -112,7 +116,7 @@ class TestOperatorMatrix:
         u = fr.GridFunction(
             np.where(np.abs(x) < 1, np.sqrt(np.clip(1 - x**2, 0, None)), 0.0), box
         )
-        out = fr.fraclap_apply(mach, u)
+        out = ref.fraclap_apply(mach, u)
         interior = sets_classic.omega[np.abs(x[sets_classic.omega]) <= 0.75]
         assert np.abs(out.values[interior] - 1.0).max() <= 2e-2
 
@@ -124,8 +128,8 @@ class TestOperatorMatrix:
         m_half = fr.build_sobolev(half, fr.FractionalOrder(S))
         u = fr.smooth_bump(half, 0.0, 0.5)
         wide = fr.GridFunction(u.values.copy(), box)  # same samples = u(x/2)
-        lhs = fr.fraclap_apply(m_full, wide).values
-        rhs = 2.0 ** (-2 * S) * (fr.fraclap_apply(m_half, u).values)
+        lhs = ref.fraclap_apply(m_full, wide).values
+        rhs = 2.0 ** (-2 * S) * (ref.fraclap_apply(m_half, u).values)
         assert np.allclose(lhs, rhs, atol=1e-12 * np.abs(rhs).max())
 
 
@@ -174,10 +178,41 @@ class TestCirculant:
     def test_holds_two_columns_only(self, mach, box):
         assert mach.frac_lap.nbytes + mach.gram_hs.nbytes == 16 * box.size
 
+    def test_fft_product_matches_dense(self, mach, box, sets_classic, rng, monkeypatch):
+        monkeypatch.setattr(grid, "GATHER_MAX_ENTRIES", 0)
+        wave = np.cos(2.0 * np.pi * 7 * np.arange(box.size) / box.size)
+        sparse = np.zeros(box.size)
+        sparse[sets_classic.omega] = rng.standard_normal(len(sets_classic.omega))
+        rows = np.concatenate([sets_classic.w2, sets_classic.omega])
+        for circ in (mach.frac_lap, mach.gram_hs):
+            dense = np.asarray(circ)
+            for x in (wave, sparse, rng.standard_normal(box.size)):
+                want = dense @ x
+                assert np.linalg.norm(circ @ x - want) <= 1e-12 * np.linalg.norm(want)
+                assert np.linalg.norm(circ.rows(rows, x) - want[rows]) \
+                    <= 1e-12 * np.linalg.norm(want[rows])
+
+    def test_full_support_norm_stays_small_at_16384(self):
+        n = 16384
+        assert n * n > grid.GATHER_MAX_ENTRIES  # the gather would take 4.3 GB
+        box = fr.build_box(16.0, n)
+        m = fr.build_sobolev(box, fr.FractionalOrder(S))
+        wave = fr.GridFunction(np.cos(2.0 * np.pi * 5 * np.arange(n) / n), box)
+        tracemalloc.start()
+        try:
+            norm = fr.hs_norm(m, wave)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        xi = 2.0 * np.pi * 5 / (2.0 * box.radius)
+        want = np.sqrt((1.0 + xi**2) ** S * box.spacing * np.sum(wave.values**2))
+        assert norm == pytest.approx(want, rel=1e-10)
+        assert peak < 64 * 2**20
+
 
 class TestQuadratureOracle:
     def test_zero(self, box):
-        out = fr.fraclap_quadrature_oracle(
+        out = ref.fraclap_quadrature_oracle(
             fr.GridFunction(np.zeros(box.size), box), fr.FractionalOrder(S), np.array([10, 20])
         )
         assert np.all(out == 0.0)
@@ -188,7 +223,7 @@ class TestQuadratureOracle:
             np.where(np.abs(x) < 1, np.sqrt(np.clip(1 - x**2, 0, None)), 0.0), box
         )
         i0 = int(np.argmin(np.abs(x)))
-        val = fr.fraclap_quadrature_oracle(u, fr.FractionalOrder(S), np.array([i0]))[0]
+        val = ref.fraclap_quadrature_oracle(u, fr.FractionalOrder(S), np.array([i0]))[0]
         assert val == pytest.approx(1.0, abs=1e-2)
 
     def test_matches_matrix_on_random_bumps(self, mach, box, sets_classic, rng):
@@ -196,8 +231,8 @@ class TestQuadratureOracle:
         h = box.spacing
         for _ in range(5):
             u = random_omega_bump(box, rng)
-            mat = fr.fraclap_apply(mach, u).values[om]
-            orc = fr.fraclap_quadrature_oracle(u, fr.FractionalOrder(S), om)
+            mat = ref.fraclap_apply(mach, u).values[om]
+            orc = ref.fraclap_quadrature_oracle(u, fr.FractionalOrder(S), om)
             rel = np.sqrt(h * np.sum((mat - orc) ** 2)) / np.sqrt(h * np.sum(orc**2))
             assert rel <= 1e-2
 
@@ -205,7 +240,7 @@ class TestQuadratureOracle:
         vals = np.zeros(box.size)
         vals[:8] = 1.0
         with pytest.raises(ValueError, match="boundary"):
-            fr.fraclap_quadrature_oracle(
+            ref.fraclap_quadrature_oracle(
                 fr.GridFunction(vals, box), fr.FractionalOrder(S), np.array([50])
             )
 

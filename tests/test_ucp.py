@@ -11,6 +11,7 @@ from scipy.optimize import brentq
 import fracrec as fr
 
 from conftest import OMEGA, W1_PIPELINE, W2_PIPELINE, random_omega_bump
+import reference as ref
 
 
 def omega_vector(op, values_om):
@@ -39,7 +40,7 @@ class TestAssembly:
         vals[~keep] = 0.0
         gf = fr.GridFunction(vals, box)
         via_matrix = op_onesided.apply(gf)
-        via_full = fr.fraclap_apply(mach, gf).values[op_onesided.window]
+        via_full = ref.fraclap_apply(mach, gf).values[op_onesided.window]
         assert np.abs(via_matrix - via_full).max() <= 1e-12 * np.abs(via_full).max()
 
     def test_off_support_smallness(self, op_onesided, mach, box, rng):
@@ -47,7 +48,7 @@ class TestAssembly:
         # compared to the interior size of the fractional Laplacian
         v = random_omega_bump(box, rng)
         om = op_onesided.sets.omega
-        av = fr.fraclap_apply(mach, v).values
+        av = ref.fraclap_apply(mach, v).values
         win = np.sqrt(box.spacing * np.sum(av[op_onesided.window] ** 2))
         inside = np.sqrt(box.spacing * np.sum(av[om] ** 2))
         assert win <= 5e-2 * inside
@@ -65,7 +66,7 @@ class TestWeightedSvd:
             lpsi = op_onesided.matrix @ psi
             resid = op_onesided.dual_norm(lpsi - svd_onesided.sigmas[j] * phi)
             assert resid <= 1e-9 * svd_onesided.sigmas[j]
-            lstar = fr.ucp_adjoint(op_onesided, phi).values[op_onesided.sets.omega]
+            lstar = ref.ucp_adjoint(op_onesided, phi).values[op_onesided.sets.omega]
             gram = op_onesided.machinery.gram_hs[
                 np.ix_(op_onesided.sets.omega, op_onesided.sets.omega)
             ]
@@ -120,9 +121,24 @@ class TestSharedSvdFactors:
         assert not any(a.flags.writeable for a in op.svd_factors)
 
 
+class TestFiltersTakeTheOperator:
+    @pytest.mark.parametrize("scheme", ["spectral", "tikhonov"])
+    def test_single_alpha_matches_recover_interior(self, mach, sets_pipeline, rng, scheme):
+        h = rng.standard_normal(len(sets_pipeline.w2))
+        op = fr.assemble_ucp(mach, sets_pipeline)
+        for alpha in (1e-2, 1e-5, 1e-8):
+            if scheme == "spectral":
+                got = fr.spectral_reconstruct(op, h, alpha)
+            else:
+                got = fr.tikhonov_reconstruct(op, h, alpha)[0]
+            cfg = fr.RegularizerConfig(scheme=scheme, alpha_schedule=[alpha])
+            want, _ = fr.recover_interior(op, h, cfg)
+            assert np.array_equal(got.values, want.values)
+
+
 class TestAdjoint:
     def test_zero(self, op_onesided):
-        out = fr.ucp_adjoint(op_onesided, np.zeros(op_onesided.n_window))
+        out = ref.ucp_adjoint(op_onesided, np.zeros(op_onesided.n_window))
         assert np.all(out.values == 0.0)
 
     def test_adjoint_identity_sweep(self, op_onesided, mach, box, rng):
@@ -132,7 +148,7 @@ class TestAdjoint:
             hw = rng.standard_normal(op_onesided.n_window)
             lv = op_onesided.apply(v)
             lhs = fr.hminus_s_inner(mach, lv, hw, op_onesided.window)
-            a = fr.ucp_adjoint(op_onesided, hw)
+            a = ref.ucp_adjoint(op_onesided, hw)
             rhs = fr.hs_inner(mach, a, v)
             scale = op_onesided.dual_norm(lv) * op_onesided.dual_norm(hw) + 1e-300
             assert abs(lhs - rhs) <= 1e-10 * scale
@@ -268,7 +284,7 @@ def stacked_tikhonov(op, h, alpha):
     stacked = np.vstack([lam, np.sqrt(alpha) * np.eye(n_om)])
     rhs = np.concatenate([op.range_weight @ h, np.zeros(n_om)])
     y, *_ = sla.lstsq(stacked, rhs, lapack_driver="gelsy")
-    return op.embed_domain(op.solve_domain_chol(y))
+    return op.embed_domain(op.domain_chol_inv @ y)
 
 
 class TestTikhonovStackedOracle:
