@@ -1,6 +1,16 @@
 """Desk-scale recovery of a potential in the fractional Schrodinger equation
 from a single exterior measurement, with the regularized unique-continuation
-solvers and stability experiments that surround it."""
+solvers and stability experiments that surround it.
+
+The solves are small dense ones, so OpenBLAS runs one thread unless the
+environment sets OPENBLAS_NUM_THREADS or OMP_NUM_THREADS; this must happen
+before numpy loads.  One thread also keeps reports byte-identical across
+machines with different core counts."""
+
+import os
+
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .grid import (
     FractionalOrder,

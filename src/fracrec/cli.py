@@ -92,17 +92,14 @@ def _require_keys(obj: dict, required: set, optional: set, where: str) -> None:
         raise ProblemValidationError(f"missing keys in {where}: {sorted(missing)}")
 
 
-def _intervals(obj: dict, where: str) -> list:
+def _intervals(obj: dict, where: str) -> dict:
     _require_keys(obj, {"intervals"}, set(), where)
     ivs = obj["intervals"]
     if not isinstance(ivs, list) or not ivs:
         raise ProblemValidationError(f"{where}.intervals must be a nonempty list")
-    out = []
-    for iv in ivs:
-        if not (isinstance(iv, list) and len(iv) == 2):
-            raise ProblemValidationError(f"{where}.intervals entries must be [a, b] pairs")
-        out.append((float(iv[0]), float(iv[1])))
-    return out
+    if not all(isinstance(iv, list) and len(iv) == 2 for iv in ivs):
+        raise ProblemValidationError(f"{where}.intervals entries must be [a, b] pairs")
+    return {"intervals": [[float(a), float(b)] for a, b in ivs]}
 
 
 def parse_problem(doc: dict) -> dict:
@@ -151,7 +148,7 @@ def _parse_problem(doc: dict) -> dict:
         _require_keys(doc["g"], {"path"}, set(), "g")
         cfg["g"] = {"path": str(doc["g"]["path"])}
     _check_footprint(cfg["box"]["radius"], cfg["box"]["points"],
-                     cfg["omega"] + cfg["w1"] + cfg["w2"])
+                     [iv for name in ("omega", "w1", "w2") for iv in cfg[name]["intervals"]])
     return cfg
 
 
@@ -261,23 +258,7 @@ def load_problem(path: str) -> dict:
 
 def serialize_problem(cfg: dict) -> str:
     """Canonical byte-stable serialization of a parsed problem."""
-    doc = {
-        "version": cfg["version"],
-        "dimension": cfg["dimension"],
-        "box": cfg["box"],
-        "s": cfg["s"],
-        "omega": {"intervals": [list(iv) for iv in cfg["omega"]]},
-        "w1": {"intervals": [list(iv) for iv in cfg["w1"]]},
-        "w2": {"intervals": [list(iv) for iv in cfg["w2"]]},
-        "q": cfg["q"],
-        "f": cfg["f"],
-        "noise": cfg["noise"],
-        "scheme": cfg["scheme"],
-        "tau": cfg["tau"],
-    }
-    if "g" in cfg:
-        doc["g"] = cfg["g"]
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(cfg, indent=2, sort_keys=True) + "\n"
 
 
 def config_hash(cfg: dict) -> str:
@@ -300,7 +281,8 @@ def _atomic_write(path: str, text: str) -> None:
 def _build_scene(cfg: dict):
     box = build_box(cfg["box"]["radius"], cfg["box"]["points"], cfg["dimension"])
     m = build_sobolev(box, FractionalOrder(cfg["s"]))
-    sets = build_index_sets(box, cfg["omega"], cfg["w1"], cfg["w2"])
+    regions = [cfg[name]["intervals"] for name in ("omega", "w1", "w2")]
+    sets = build_index_sets(box, *regions)
     return box, m, sets
 
 
@@ -354,8 +336,7 @@ def _read_values(path: str) -> np.ndarray:
 
 def _make_potential(cfg: dict, box: SimulationBox, sets: IndexSets) -> Potential:
     fn = _profile_callable(cfg["q"], "q")
-    tag = "continuous" if cfg["q"]["kind"] in ("zero", "constant", "bump") else "bounded"
-    return Potential(fn(box.nodes[sets.omega]), regularity_tag=tag)
+    return Potential(fn(box.nodes[sets.omega]))
 
 
 def _make_datum(cfg: dict, box: SimulationBox, sets: IndexSets) -> GridFunction:
@@ -435,7 +416,7 @@ def _cmd_reconstruct(args) -> int:
         cfg["tau"] = args.tau
     if args.alpha_list:
         cfg["scheme"]["alpha_schedule"] = [float(a) for a in args.alpha_list.split(",")]
-    cfg = parse_problem(json.loads(serialize_problem(cfg)))  # re-validate overrides
+    cfg = parse_problem(cfg)  # re-validate overrides
     box, m, sets = _build_scene(cfg)
     seed = args.seed if args.seed is not None else cfg["noise"]["seed"]
     start = time.monotonic()
@@ -540,7 +521,7 @@ def _cmd_stability(args) -> int:
     levels = np.asarray([float(v) for v in args.levels.split(",")])
     sweep = stability_sweep(
         op, run_cfg, trials=args.trials, noise_levels=levels,
-        s_prime=args.s_prime, seed=seed, threads=max(1, args.threads),
+        s_prime=args.s_prime, seed=seed,
     )
     lines = ["noise_level,mean_error"]
     for lvl, err in zip(sweep.noise_levels, sweep.recon_errors):
@@ -590,8 +571,6 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="override the problem seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sweep commands (results are order-independent)")
     common.add_argument("--quiet", action="store_true", help="suppress progress chatter")
 
     ap = _ArgumentParser(

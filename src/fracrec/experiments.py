@@ -252,7 +252,6 @@ def stability_sweep(
     noise_levels: np.ndarray,
     s_prime: float,
     seed: int = 0,
-    threads: int = 1,
 ) -> StabilitySweep:
     """Noise-ladder reconstruction experiment in a weaker error norm.
 
@@ -305,17 +304,9 @@ def stability_sweep(
         v, _ = recover_interior(op, data, replace(cfg, stop_rule=stop))
         return weak_err(v)
 
-    pairs = [(i, t) for i in range(len(noise_levels)) for t in range(trials)]
-    per_trial = np.empty((len(noise_levels), trials))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for (i, t), err in zip(pairs, pool.map(lambda p: one_trial(*p), pairs)):
-                per_trial[i, t] = err
-    else:
-        for i, t in pairs:
-            per_trial[i, t] = one_trial(i, t)
+    per_trial = np.array(
+        [[one_trial(i, t) for t in range(trials)] for i in range(len(noise_levels))]
+    )
     mean_errors = per_trial.mean(axis=1)
 
     pos = noise_levels > 0

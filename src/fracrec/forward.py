@@ -39,22 +39,14 @@ class EigenvalueConditionError(RuntimeError):
 
 @dataclass
 class Potential:
-    """Potential values on the omega nodes, with a regularity tag.
-
-    regularity_tag is "bounded" or "continuous"; with a merely bounded
-    potential the recovery theory needs s >= 1/4, and the pipeline warns
-    when that hypothesis is violated.
-    """
+    """Potential values on the omega nodes."""
 
     values: np.ndarray
-    regularity_tag: str = "continuous"
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("potential has non-finite values")
-        if self.regularity_tag not in ("bounded", "continuous"):
-            raise ValueError(f"unknown regularity tag {self.regularity_tag!r}")
 
 
 @dataclass

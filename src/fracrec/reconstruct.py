@@ -59,7 +59,6 @@ class PipelineError(RuntimeError):
 
     def __init__(self, step: int, message: str):
         super().__init__(f"step ({step}): {message}")
-        self.step = step
 
 
 @dataclass
@@ -213,7 +212,8 @@ def full_pipeline(
     cfg: RegularizerConfig,
     tau: float = 1e-3,
 ) -> ReconstructionReport:
-    """Run steps (1)-(4) and assemble the report."""
+    """Run steps (1)-(4) and assemble the report.  Below s = 1/4 it warns:
+    the recovery theory for a merely bounded potential needs s >= 1/4."""
     if m.order.s < 0.25:
         warnings.warn(
             "recovery with a merely bounded potential requires s >= 1/4; "
@@ -287,7 +287,7 @@ def synthetic_measurement(
         box_f = build_box(m.box.radius, 2 * m.box.points_per_axis, m.box.dimension)
         m_f = build_sobolev(box_f, m.order)
         sets_f = build_index_sets(box_f, omega_spec, w1_spec, w2_spec)
-        q_f = Potential(q_of_x(box_f.nodes[sets_f.omega]), q.regularity_tag)
+        q_f = Potential(q_of_x(box_f.nodes[sets_f.omega]))
         f_vals = np.zeros(box_f.size)
         f_vals[sets_f.w1] = f_of_x(box_f.nodes[sets_f.w1])
         sol = solve_dirichlet(m_f, sets_f, q_f, GridFunction(f_vals, box_f))

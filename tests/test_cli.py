@@ -45,6 +45,20 @@ def base_problem():
     }
 
 
+EXAMPLE = Path(__file__).resolve().parents[1] / "problem.example.json"
+
+
+def child_env(**overrides):
+    """This environment without the BLAS thread variables, fracrec's src/
+    on PYTHONPATH, then `overrides`."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(fr.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env.update(overrides)
+    return env
+
+
 def write_problem(tmp_path, doc, name="prob.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -85,6 +99,11 @@ class TestProblemFile:
     def test_config_hash_stable(self):
         cfg = parse_problem(base_problem())
         assert config_hash(cfg) == config_hash(parse_problem(base_problem()))
+
+    def test_example_config_hash_pinned(self):
+        assert config_hash(load_problem(str(EXAMPLE))) == (
+            "5519efb26ee5df2a9022db88d525a973f83e2304af5db71d3b9ad7b7122e087f"
+        )
 
 
 class TestMalformedInput:
@@ -166,8 +185,9 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["reconstruct", "p.json", "o.json", "--bogus"],
         ["stability", "p.json", "o.csv", "--trials", "abc"],
+        ["stability", "p.json", "o.csv", "--threads", "2"],
         [],
-    ], ids=["unknown-option", "non-integer-trials", "missing-verb"])
+    ], ids=["unknown-option", "non-integer-trials", "threads-option", "missing-verb"])
     def test_usage_error_exits_1_with_one_line(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -180,6 +200,20 @@ class TestUsageErrors:
             main(["reconstruct", "--help"])
         assert exc.value.code == EXIT_OK
         assert "--alpha-list" in capsys.readouterr().out
+
+
+class TestBlasThreadDefault:
+    @pytest.mark.parametrize("overrides, want", [
+        ({}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "3"}, "3"),
+        ({"OMP_NUM_THREADS": "2"}, None),
+    ], ids=["unset", "caller-openblas", "caller-omp"])
+    def test_import_sets_one_thread_unless_caller_chose(self, overrides, want):
+        script = "import os, fracrec; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        proc = subprocess.run([sys.executable, "-c", script], env=child_env(**overrides),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str(want)
 
 
 class TestFootprintBudget:
@@ -278,7 +312,6 @@ class TestReconstructCommand:
 
     def test_child_run_loads_no_scipy(self, tmp_path):
         # the command line path is numpy-only: scipy is a test dependency
-        example = Path(__file__).resolve().parents[1] / "problem.example.json"
         script = (
             "import sys\n"
             "from fracrec.cli import main\n"
@@ -286,13 +319,10 @@ class TestReconstructCommand:
             "print(sorted(k for k in sys.modules if k.startswith('scipy')))\n"
             "sys.exit(code)\n"
         )
-        src = str(Path(fr.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(
-            [sys.executable, "-c", script, "reconstruct", str(example),
+            [sys.executable, "-c", script, "reconstruct", str(EXAMPLE),
              str(tmp_path / "rep.json"), "--quiet"],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=child_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.strip() == "[]"

@@ -158,16 +158,6 @@ class TestStabilitySweep:
         b = fr.stability_sweep(op_pipeline, cfg, 2, levels, 0.25, seed=11)
         assert np.array_equal(a.per_trial, b.per_trial)
 
-    def test_threaded_matches_serial(self, op_pipeline):
-        sigma1 = float(np.linalg.norm(op_pipeline.weighted, 2))
-        cfg = fr.RegularizerConfig(
-            scheme="spectral", alpha_schedule=fr.default_alpha_schedule(sigma1)
-        )
-        levels = 10.0 ** np.linspace(-2, -4, 2)
-        a = fr.stability_sweep(op_pipeline, cfg, 2, levels, 0.25, seed=5, threads=1)
-        b = fr.stability_sweep(op_pipeline, cfg, 2, levels, 0.25, seed=5, threads=4)
-        assert np.array_equal(a.per_trial, b.per_trial)
-
     def test_weak_order_must_be_below_operator_order(self, op_pipeline):
         cfg = fr.RegularizerConfig(scheme="spectral", alpha_schedule=np.array([1e-3]))
         with pytest.raises(ValueError, match="s_prime"):

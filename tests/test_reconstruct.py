@@ -398,7 +398,7 @@ class TestFullPipeline:
     ):
         om = sets_pipeline.omega
         x = box.nodes[om]
-        q = fr.Potential(np.where(np.abs(x) < 0.5, 1.5, 0.0), regularity_tag="bounded")
+        q = fr.Potential(np.where(np.abs(x) < 0.5, 1.5, 0.0))
         f = pipeline_datum(box, sets_pipeline)
         sol = fr.solve_dirichlet(mach, sets_pipeline, q, f)
         v_true = fr.GridFunction(sol.u.values - f.values, box)
@@ -463,7 +463,7 @@ class TestFullPipeline:
         self, box, sets_pipeline
     ):
         m_low = fr.build_sobolev(box, fr.FractionalOrder(0.2))
-        q = fr.Potential(np.zeros(len(sets_pipeline.omega)), regularity_tag="bounded")
+        q = fr.Potential(np.zeros(len(sets_pipeline.omega)))
         f = pipeline_datum(box, sets_pipeline)
         rec = fr.synthetic_measurement(m_low, sets_pipeline, q, f)
         op = fr.assemble_ucp(m_low, sets_pipeline)
