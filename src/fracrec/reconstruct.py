@@ -37,9 +37,10 @@ from .ucp import (
     UcpOperator,
     _filter_gains,
     _filtered_solve,
+    _minimal_l2_solve,
+    _minl2_workspace,
     assemble_ucp,
     default_alpha_schedule,
-    minimal_l2_reconstruct,
 )
 
 __all__ = [
@@ -112,32 +113,6 @@ def _trace_norms(
     return np.linalg.norm(resid, axis=0), np.linalg.norm(op.domain_chol @ iterates, axis=0)
 
 
-def _minimal_l2_iterates(
-    op: UcpOperator, window_vals: np.ndarray, cfg: RegularizerConfig, alphas, delta
-) -> np.ndarray:
-    """Minimal-L2 omega iterates as columns, one nonlinear solve per alpha,
-    up to the first whose dual residual reaches delta."""
-    cols: list = []
-    for alpha in alphas:
-        try:
-            res = minimal_l2_reconstruct(
-                op.machinery, op.sets, window_vals, alpha,
-                tol=cfg.inner_solver_tol,
-                max_iterations=cfg.max_inner_iterations,
-                window=op.window,
-            )
-        except OptimizerNonConvergence:
-            if not cols:
-                raise
-            # the data's null-space component does not depend on alpha:
-            # a smaller alpha only comes closer to it, or passes it
-            break
-        cols.append(res.phi_hat.values[op.sets.omega])
-        if delta is not None and _trace_norms(op, cols[-1][:, None], window_vals)[0][0] <= delta:
-            break
-    return np.stack(cols, axis=1)
-
-
 def recover_interior(
     op: UcpOperator,
     window_vals: np.ndarray,
@@ -147,14 +122,15 @@ def recover_interior(
     """Step (2): run the selected scheme over the alpha schedule.
 
     Returns the stop-rule iterate and the residual/penalty trace; without a
-    schedule, default_alpha_schedule(sigma_1) is run.  spectral and tikhonov
-    get the whole schedule from one filtered solve, minimal_l2 solves one
-    alpha at a time.  Each trace row holds the dual norm of its iterate's
-    window residual and the iterate's Sobolev norm, both from the assembled
-    operator.  The fixed-list rule returns the last iterate;
-    ("discrepancy", delta) cuts the trace at the first row whose residual
-    is at or below delta and returns that row's iterate.  `keep_iterates`
-    adds each row's iterate to it (small problems only).
+    schedule, default_alpha_schedule(sigma_1) is run.  Each scheme solves
+    the whole schedule at once: spectral and tikhonov as one filtered solve,
+    minimal_l2 as one secular bisection that ends the schedule before the
+    first alpha without a certified minimizer.  Each trace row holds the
+    dual norm of its iterate's window residual and the iterate's Sobolev
+    norm, both from the assembled operator.  The fixed-list rule returns
+    the last iterate; ("discrepancy", delta) cuts the trace at the first
+    row whose residual is at or below delta and returns that row's iterate.
+    `keep_iterates` adds each row's iterate to it (small problems only).
     """
     if cfg.alpha_schedule is None:
         alphas = default_alpha_schedule(float(op.sigmas[0]))
@@ -163,7 +139,9 @@ def recover_interior(
     delta = cfg.stop_rule[1] if cfg.stop_rule[0] == "discrepancy" else None
     window_vals = np.asarray(window_vals, dtype=float)
     if cfg.scheme == "minimal_l2":
-        iterates = _minimal_l2_iterates(op, window_vals, cfg, alphas, delta)
+        ws = _minl2_workspace(op.machinery, op.sets, op.window)
+        tol, cap = cfg.inner_solver_tol, cfg.max_inner_iterations
+        iterates = ws.phi_map @ _minimal_l2_solve(ws, window_vals, alphas, tol, cap)[0]
     else:
         gains = _filter_gains(cfg.scheme, op.sigmas, alphas)
         iterates, _ = _filtered_solve(op, window_vals, gains)

@@ -24,10 +24,11 @@ Inversion schemes:
 * minimal_l2: convex control formulation over window-supported exterior
   data with a norm (not squared-norm) penalty, minimized exactly by one
   eigendecomposition of the control Hessian and a bisection for the root
-  of the scalar secular equation; the dual-state solve converts the
-  optimal control into the interior reconstruction and carries an
-  alpha-level residual certificate.  Each alpha is its own nonlinear
-  solve.
+  of the scalar secular equation; a fixed dual-state map converts the
+  optimal control into the interior reconstruction, which carries an
+  alpha-level residual certificate.  The gains 1 / (d + mu_k) differ per
+  alpha only through mu_k, so one vectorized bisection finds every mu_k
+  of a schedule and its K controls come out as the columns of one matrix.
 """
 
 from __future__ import annotations
@@ -159,11 +160,13 @@ class RegularizerConfig:
                     or np.any(np.diff(a) >= 0)):
                 raise ValueError("alpha schedule must be finite, positive and strictly decreasing")
             self.alpha_schedule = a
-        kind = self.stop_rule[0]
-        if kind not in ("fixed_list", "discrepancy"):
-            raise ValueError(f"unknown stop rule {kind!r}")
-        if kind == "discrepancy" and not np.isfinite(self.stop_rule[1]):
-            raise ValueError("discrepancy delta must be finite")
+        rule, arity = self.stop_rule, {"fixed_list": 1, "discrepancy": 2}
+        if not (isinstance(rule, tuple) and rule and len(rule) == arity.get(rule[0])):
+            raise ValueError(f"stop rule must be ('fixed_list',) or ('discrepancy', delta): {rule!r}")
+        if len(rule) == 2 and not (np.isfinite(rule[1]) and rule[1] >= 0):
+            raise ValueError("discrepancy delta must be finite and >= 0")
+        if not (0.0 < self.inner_solver_tol < 1.0 and self.max_inner_iterations >= 1):
+            raise ValueError("need 0 < inner_solver_tol < 1 and max_inner_iterations >= 1")
 
 
 def default_alpha_schedule(sigma1: float, kmax: int = 12, step: float = 0.5) -> np.ndarray:
@@ -292,14 +295,16 @@ class _MinimalL2Workspace:
         self, m: SobolevMachinery, omega: np.ndarray, window: np.ndarray, q_window: np.ndarray
     ):
         self.spacing = m.box.spacing
-        self.a_oo = m.frac_lap[np.ix_(omega, omega)]
+        a_oo = m.frac_lap[np.ix_(omega, omega)]
         coupling = m.frac_lap[np.ix_(omega, window)]
         # control-to-state map in omega coordinates (zero potential)
-        self.state_map = -np.linalg.solve(self.a_oo, coupling)
+        self.state_map = -np.linalg.solve(a_oo, coupling)
         # C^{-1} (upper triangular) with G_W = C^T C, from the dual weight
         # Q = C^{-T} M and the uniform mass M = h I
         self.chol_inv = q_window.T / self.spacing
         tc = self.state_map @ self.chol_inv
+        # Sobolev control coordinates y to the dual state phi = -A_oo^{-1} u
+        self.phi_map = -np.linalg.solve(a_oo, tc)
         self.smooth_hessian = self.spacing * (tc.T @ tc)
         # eigenvalues at or below n * eps * d_max span the floating-point null space
         d, self.eigvecs = np.linalg.eigh(self.smooth_hessian)
@@ -317,6 +322,65 @@ def _minl2_workspace(m: SobolevMachinery, sets: IndexSets, window: np.ndarray):
     # fetched outside `m.cached`, whose lock is held while a value is built
     q_window = m.dual_weight(window)
     return m.cached(key, lambda: _MinimalL2Workspace(m, sets.omega, window, q_window))
+
+
+def _minimal_l2_solve(
+    ws: _MinimalL2Workspace, window_vals: np.ndarray, alphas, tol: float, max_iterations: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Minimizers y_k of 1/2 y'Sy - b'y + alpha_k ||y|| (see
+    minimal_l2_reconstruct) for a decreasing schedule, as the columns of Y,
+    with their residuals ||S y_k - b|| and bisection steps.  One vector
+    bisection step serves every alpha still short of `tol`.  The schedule
+    ends before the first alpha without a certified minimizer, and raises
+    OptimizerNonConvergence when that is the first alpha."""
+    alphas = np.asarray(alphas, dtype=float)
+    b = ws.data_vector(window_vals)
+    d, beta = ws.eigvals, ws.eigvecs.T @ b
+    nb, null = float(np.linalg.norm(b)), float(np.linalg.norm(beta[d == 0.0]))
+    # the null-space component does not depend on alpha: it bounds the schedule
+    n = int(np.sum((alphas > null) | (alphas >= nb)))
+    if n == 0:
+        raise OptimizerNonConvergence(
+            f"no minimizer at alpha={alphas[0]:.3e}: the data's component in the "
+            f"numerical null space of the control Hessian has norm {null:.3e} >= alpha"
+        )
+    alphas = alphas[:n]
+    work = np.flatnonzero(alphas < nb)  # elsewhere zero is optimal
+    a = alphas[work]
+
+    def reach(log_mu: np.ndarray) -> np.ndarray:  # mu ||y(mu)|| per log mu
+        mu = np.exp(log_mu)[:, None]
+        return np.linalg.norm(mu * beta / (d + mu), axis=1)
+
+    lo = np.log(np.min(d[d > 0.0], initial=np.inf) * np.sqrt(a**2 - null**2) / nb)
+    hi = np.log(d[-1] * a / (nb - a))
+    reach_lo = reach(lo)
+    steps = np.zeros(n, dtype=int)
+    for _ in range(max_iterations):
+        act = np.flatnonzero(reach_lo < (1.0 - tol) * a)
+        if not len(act):
+            break
+        steps[work[act]] += 1
+        mid = 0.5 * (lo[act] + hi[act])
+        r = reach(mid)
+        below = r <= a[act]
+        lo[act[below]], reach_lo[act[below]] = mid[below], r[below]
+        hi[act[~below]] = mid[~below]
+    y = np.zeros((len(b), n))
+    y[:, work] = ws.eigvecs @ (beta[:, None] / (d[:, None] + np.exp(lo)))
+    residual = np.linalg.norm(ws.smooth_hessian @ y - b[:, None], axis=0)
+    stalled = np.zeros(n, dtype=bool)
+    stalled[work] = reach_lo < (1.0 - tol) * a
+    fails = np.flatnonzero(stalled | (residual > alphas * (1.0 + tol)))
+    if len(fails) and fails[0] == 0:
+        raise OptimizerNonConvergence(
+            f"{max_iterations} bisection steps did not reach relative tolerance {tol:.1e} "
+            f"at alpha={alphas[0]:.3e}" if stalled[0] else
+            f"no certified minimizer at alpha={alphas[0]:.3e}: the residual on the formed "
+            f"control Hessian is {residual[0] / alphas[0]:.8f} alpha > (1 + {tol:.0e}) alpha"
+        )
+    k = fails[0] if len(fails) else n
+    return y[:, :k], residual[:k], steps[:k]
 
 
 def minimal_l2_reconstruct(
@@ -338,84 +402,40 @@ def minimal_l2_reconstruct(
     1983).  With S = V diag(d) V^T, mu ||y(mu)|| = ||mu V^T b / (d + mu)||
     rises in mu; its root is bisected in log mu, from below, until
     1 - mu ||y|| / alpha <= `tol`, the relative KKT residual.  `iterations`
-    counts the bisection steps; reaching `max_iterations` raises.
-
+    counts the bisection steps; reaching `max_iterations` raises.  This is
+    the one-alpha case of the schedule solve that recover_interior runs.
     The interior reconstruction phi_hat solves the dual problem
     (A phi_hat)|_omega = -u_hat|_omega with zero exterior values and carries
     the certificate ||(A phi_hat)|_W - h||_dual <= alpha at the optimum.
 
     Raises OptimizerNonConvergence when the component of b in the null
     space of S (eigenvalues <= |W| eps d_max) has norm >= alpha: J is then
-    unbounded below and has no minimizer.  It also raises when the
-    certificate ||S y - b|| on the formed S exceeds alpha (1 + `tol`): the
-    solve sets those eigenvalues to zero, but the formed S still acts on
-    the null components beta_i / mu of y, which are large when alpha is
-    just above the null-space norm and mu is tiny.
+    unbounded below.  It also raises when ||S y - b|| on the formed S
+    exceeds alpha (1 + `tol`): the zeroed eigenvalues still act there on
+    the null components beta_i / mu of y, large when mu is tiny.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     w = sets.w2 if window is None else np.asarray(window)
     ws = _minl2_workspace(m, sets, w)
-    b = ws.data_vector(window_vals)
-    d, beta = ws.eigvals, ws.eigvecs.T @ b
-    nb, null = float(np.linalg.norm(b)), float(np.linalg.norm(beta[d == 0.0]))
-
-    def reach(log_mu: float) -> float:  # mu ||y(mu)||
-        mu = np.exp(log_mu)
-        return float(np.linalg.norm(mu * beta / (d + mu)))
-
-    y, it = np.zeros(len(w)), 0
-    if nb > alpha:  # otherwise zero is optimal
-        if null >= alpha:
-            raise OptimizerNonConvergence(
-                f"no minimizer at alpha={alpha:.3e}: the data's component in the "
-                f"numerical null space of the control Hessian has norm {null:.3e} >= alpha"
-            )
-        lo = np.log(d[d > 0.0].min() * np.sqrt(alpha**2 - null**2) / nb)
-        hi = np.log(d[-1] * alpha / (nb - alpha))
-        reach_lo = reach(lo)
-        while reach_lo < (1.0 - tol) * alpha:
-            if it == max_iterations:
-                raise OptimizerNonConvergence(
-                    f"{max_iterations} bisection steps did not reach relative "
-                    f"tolerance {tol:.1e} at alpha={alpha:.3e}"
-                )
-            it += 1
-            mid = 0.5 * (lo + hi)
-            if (r := reach(mid)) <= alpha:
-                lo, reach_lo = mid, r
-            else:
-                hi = mid
-        y = ws.eigvecs @ (beta / (d + np.exp(lo)))
-    residual = float(np.linalg.norm(ws.smooth_hessian @ y - b))
-    if residual > alpha * (1.0 + tol):
-        raise OptimizerNonConvergence(
-            f"no certified minimizer at alpha={alpha:.3e}: the residual on the formed "
-            f"control Hessian is {residual / alpha:.8f} alpha > (1 + {tol:.0e}) alpha"
-        )
-
-    f_w = ws.chol_inv @ y
-    f_full = np.zeros(m.box.size)
+    ys, residuals, steps = _minimal_l2_solve(ws, window_vals, [alpha], tol, max_iterations)
+    y, f_w = ys[:, 0], ws.chol_inv @ ys[:, 0]
+    f_full, phi_full = np.zeros(m.box.size), np.zeros(m.box.size)
     f_full[w] = f_w
     u_full = f_full.copy()
     u_full[sets.omega] = ws.state_map @ f_w
-    phi_full = np.zeros(m.box.size)
-    phi_full[sets.omega] = np.linalg.solve(ws.a_oo, -u_full[sets.omega])
+    phi_full[sets.omega] = ws.phi_map @ y
 
     h = m.box.spacing
-    u_l2_sq = h * float(np.sum(u_full[sets.omega] ** 2))
-    j_val = (
-        0.5 * u_l2_sq
-        - h * float(np.asarray(window_vals) @ f_w)
-        + alpha * float(np.linalg.norm(y))
-    )
+    j_val = (0.5 * h * float(np.sum(u_full[sets.omega] ** 2))
+             - h * float(np.asarray(window_vals) @ f_w) + alpha * float(np.linalg.norm(y)))
     return MinimalL2Result(
         f_hat=GridFunction(f_full, m.box),
         u_hat=GridFunction(u_full, m.box),
         phi_hat=GridFunction(phi_full, m.box),
         j_value=j_val,
-        residual_dual=residual,
-        iterations=it,
+        residual_dual=float(residuals[0]),
+        iterations=int(steps[0]),
         converged=True,
     )
 

@@ -1,8 +1,8 @@
 """Computations the tests use and the package does not: the full-grid
 fractional Laplacian product, the singular-integral quadrature oracle, the
 measurement map and energy form of the forward problem, the weighted
-adjoint of the interior-to-window operator, and nearest-neighbor infill of
-masked quotient nodes."""
+adjoint of the interior-to-window operator, the scalar one-alpha-at-a-time
+minimal-L2 solver, and nearest-neighbor infill of masked quotient nodes."""
 
 from __future__ import annotations
 
@@ -14,12 +14,16 @@ from fracrec import (
     FractionalOrder,
     GridFunction,
     IndexSets,
+    MinimalL2Result,
+    OptimizerNonConvergence,
     Potential,
+    RegularizerConfig,
     SobolevMachinery,
     UcpOperator,
     solve_dirichlet,
 )
 from fracrec.grid import _check_same_box
+from fracrec.ucp import _minl2_workspace
 
 
 def fraclap_apply(m: SobolevMachinery, u: GridFunction) -> GridFunction:
@@ -148,6 +152,106 @@ def ucp_adjoint(op: UcpOperator, window_vals: np.ndarray) -> GridFunction:
     """
     y = op.weighted.T @ (op.range_weight @ np.asarray(window_vals))
     return op.embed_domain(op.domain_chol_inv @ y)
+
+
+def minimal_l2_oracle(
+    m: SobolevMachinery,
+    sets: IndexSets,
+    window_vals: np.ndarray,
+    alpha: float,
+    tol: float = 1e-8,
+    max_iterations: int = 200_000,
+    window: np.ndarray | None = None,
+) -> MinimalL2Result:
+    """The minimal-L2 minimizer at one alpha by a scalar bisection of the
+    secular equation, with the interior reconstruction from its own dense
+    solve with A_oo.  Same contract as fracrec.minimal_l2_reconstruct."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    w = sets.w2 if window is None else np.asarray(window)
+    ws = _minl2_workspace(m, sets, w)
+    b = ws.data_vector(window_vals)
+    d, beta = ws.eigvals, ws.eigvecs.T @ b
+    nb, null = float(np.linalg.norm(b)), float(np.linalg.norm(beta[d == 0.0]))
+
+    def reach(log_mu: float) -> float:  # mu ||y(mu)||
+        mu = np.exp(log_mu)
+        return float(np.linalg.norm(mu * beta / (d + mu)))
+
+    y, it = np.zeros(len(w)), 0
+    if nb > alpha:  # otherwise zero is optimal
+        if null >= alpha:
+            raise OptimizerNonConvergence(
+                f"no minimizer at alpha={alpha:.3e}: null-space norm {null:.3e} >= alpha"
+            )
+        lo = np.log(d[d > 0.0].min() * np.sqrt(alpha**2 - null**2) / nb)
+        hi = np.log(d[-1] * alpha / (nb - alpha))
+        reach_lo = reach(lo)
+        while reach_lo < (1.0 - tol) * alpha:
+            if it == max_iterations:
+                raise OptimizerNonConvergence(f"{max_iterations} bisection steps at alpha={alpha:.3e}")
+            it += 1
+            mid = 0.5 * (lo + hi)
+            if (r := reach(mid)) <= alpha:
+                lo, reach_lo = mid, r
+            else:
+                hi = mid
+        y = ws.eigvecs @ (beta / (d + np.exp(lo)))
+    residual = float(np.linalg.norm(ws.smooth_hessian @ y - b))
+    if residual > alpha * (1.0 + tol):
+        raise OptimizerNonConvergence(f"residual {residual / alpha:.8f} alpha at alpha={alpha:.3e}")
+
+    f_w = ws.chol_inv @ y
+    f_full = np.zeros(m.box.size)
+    f_full[w] = f_w
+    u_full = f_full.copy()
+    u_full[sets.omega] = ws.state_map @ f_w
+    phi_full = np.zeros(m.box.size)
+    a_oo = m.frac_lap[np.ix_(sets.omega, sets.omega)]
+    phi_full[sets.omega] = np.linalg.solve(a_oo, -u_full[sets.omega])
+
+    h = m.box.spacing
+    j_val = (
+        0.5 * h * float(np.sum(u_full[sets.omega] ** 2))
+        - h * float(np.asarray(window_vals) @ f_w)
+        + alpha * float(np.linalg.norm(y))
+    )
+    return MinimalL2Result(
+        f_hat=GridFunction(f_full, m.box),
+        u_hat=GridFunction(u_full, m.box),
+        phi_hat=GridFunction(phi_full, m.box),
+        j_value=j_val,
+        residual_dual=residual,
+        iterations=it,
+        converged=True,
+    )
+
+
+def minimal_l2_oracle_iterates(
+    op: UcpOperator, window_vals: np.ndarray, cfg: RegularizerConfig, alphas
+) -> np.ndarray:
+    """Minimal-L2 omega iterates as columns, one oracle solve per alpha: the
+    schedule ends before the first alpha that raises (which re-raises when
+    it is the first) and after the first whose dual residual reaches the
+    discrepancy delta."""
+    delta = cfg.stop_rule[1] if cfg.stop_rule[0] == "discrepancy" else None
+    cols: list = []
+    for alpha in alphas:
+        try:
+            res = minimal_l2_oracle(
+                op.machinery, op.sets, window_vals, alpha,
+                tol=cfg.inner_solver_tol, max_iterations=cfg.max_inner_iterations,
+                window=op.window,
+            )
+        except OptimizerNonConvergence:
+            if not cols:
+                raise
+            break
+        cols.append(res.phi_hat.values[op.sets.omega])
+        resid = op.range_weight @ (op.matrix @ cols[-1] - window_vals)
+        if delta is not None and np.linalg.norm(resid) <= delta:
+            break
+    return np.stack(cols, axis=1)
 
 
 def infill_nearest(

@@ -384,9 +384,12 @@ class TestReconstructCommand:
         assert main(["reconstruct", path, str(out), "--tau", "0.05", "--quiet"]) == EXIT_OK
         assert float(json.loads(out.read_text())["tau"]) == 0.05
 
-    def test_byte_identical_reports(self, tmp_path):
+    @pytest.mark.parametrize("scheme", ["spectral", "minimal_l2"])
+    def test_byte_identical_reports(self, tmp_path, scheme):
+        # acceptance 11 covers tikhonov
         doc = base_problem()
         doc["noise"] = {"level": 1e-3, "seed": 9}
+        doc["scheme"]["name"] = scheme
         path = write_problem(tmp_path, doc)
         outs = []
         for name in ("r1.json", "r2.json"):

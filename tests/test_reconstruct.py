@@ -296,6 +296,85 @@ class TestBatchedScheduleOracle:
             assert np.abs(got_v.values - want_v.values).max() <= 1e-13 * scale, name
 
 
+class TestMinimalL2ScheduleOracle:
+    """The batched secular solve against the scalar one-alpha-at-a-time oracle."""
+
+    @staticmethod
+    def data(mach, sets, ground_truth, noise):
+        q, f, _ = ground_truth
+        rec = fr.synthetic_measurement(mach, sets, q, f, noise_level=noise, seed=2)
+        h = fr.measurement_to_h(mach, sets, rec)
+        ws = _minl2_workspace(mach, sets, sets.w2)
+        b = ws.data_vector(h)
+        beta = ws.eigvecs.T @ b
+        return h, float(np.linalg.norm(b)), float(np.linalg.norm(beta[ws.eigvals == 0.0]))
+
+    @staticmethod
+    def agree(op, h, cfg):
+        alphas = cfg.alpha_schedule
+        if alphas is None:
+            alphas = fr.default_alpha_schedule(float(op.sigmas[0]))
+        want = ref.minimal_l2_oracle_iterates(op, h, cfg, alphas)
+        _, trace = fr.recover_interior(op, h, cfg, keep_iterates=True)
+        assert len(trace) == want.shape[1]
+        for row, col in zip(trace, want.T):
+            got = row["iterate"].values[op.sets.omega]
+            assert np.linalg.norm(got - col) <= 1e-12 * np.linalg.norm(col)
+        return trace, alphas
+
+    def test_exact_data_full_auto_schedule(self, mach, sets_pipeline, op_pipeline, ground_truth):
+        h, nb, _ = self.data(mach, sets_pipeline, ground_truth, 0.0)
+        trace, alphas = self.agree(op_pipeline, h, fr.RegularizerConfig(scheme="minimal_l2"))
+        assert len(trace) > 1 and alphas[-1] < nb
+
+    def test_noisy_data_discrepancy_stop(self, mach, sets_pipeline, op_pipeline, ground_truth):
+        h, nb, null = self.data(mach, sets_pipeline, ground_truth, 1e-3)
+        alphas = nb * np.geomspace(0.5, 2.0 * null / nb, 8)
+        fixed = fr.RegularizerConfig(scheme="minimal_l2", alpha_schedule=alphas)
+        res = [row["residual_dual"] for row in self.agree(op_pipeline, h, fixed)[0]]
+        assert len(res) == len(alphas) and res[2] > 1.01 * res[3]
+        cfg = fr.RegularizerConfig(
+            scheme="minimal_l2", alpha_schedule=alphas,
+            stop_rule=("discrepancy", float(np.sqrt(res[2] * res[3]))),
+        )
+        trace, _ = self.agree(op_pipeline, h, cfg)
+        assert len(trace) == 4
+
+    def test_schedule_crossing_the_null_norm_is_cut(
+        self, mach, sets_pipeline, op_pipeline, ground_truth
+    ):
+        # kept alphas stay 2x above the null norm: closer to it, ||y|| / ||phi||
+        # grows past 1e5 and phi carries that much rounding in either solver
+        h, nb, null = self.data(mach, sets_pipeline, ground_truth, 1e-2)
+        alphas = null * np.array([6.0, 4.0, 2.0, 1.0, 0.5])
+        assert alphas[0] < nb
+        cfg = fr.RegularizerConfig(scheme="minimal_l2", alpha_schedule=alphas)
+        trace, _ = self.agree(op_pipeline, h, cfg)
+        assert len(trace) == 3
+
+    def test_first_alpha_above_data_norm_gives_zero(
+        self, mach, sets_pipeline, op_pipeline, ground_truth
+    ):
+        h, nb, _ = self.data(mach, sets_pipeline, ground_truth, 1e-4)
+        cfg = fr.RegularizerConfig(
+            scheme="minimal_l2", alpha_schedule=nb * np.array([2.0, 1.0, 0.3, 0.1])
+        )
+        trace, _ = self.agree(op_pipeline, h, cfg)
+        assert len(trace) == 4
+        assert not np.any(trace[0]["iterate"].values) and not np.any(trace[1]["iterate"].values)
+        assert np.any(trace[2]["iterate"].values)
+
+    def test_first_alpha_at_null_norm_raises(self, mach, sets_pipeline, op_pipeline, ground_truth):
+        h, _, null = self.data(mach, sets_pipeline, ground_truth, 1e-2)
+        cfg = fr.RegularizerConfig(
+            scheme="minimal_l2", alpha_schedule=null * np.array([1.0, 0.5])
+        )
+        with pytest.raises(fr.OptimizerNonConvergence, match="no minimizer"):
+            ref.minimal_l2_oracle_iterates(op_pipeline, h, cfg, cfg.alpha_schedule)
+        with pytest.raises(fr.OptimizerNonConvergence, match="no minimizer"):
+            fr.recover_interior(op_pipeline, h, cfg)
+
+
 class TestQuotient:
     def test_recovers_potential_from_true_state(
         self, mach, sets_pipeline, ground_truth

@@ -473,6 +473,27 @@ class TestRegularizerConfig:
         with pytest.raises(ValueError, match="stop rule"):
             fr.RegularizerConfig(scheme="spectral", stop_rule=("lcurve",))
 
+    def test_negative_discrepancy_delta_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            fr.RegularizerConfig(scheme="spectral", stop_rule=("discrepancy", -1e-3))
+
+    def test_discrepancy_without_delta_rejected(self):
+        with pytest.raises(ValueError, match="delta"):
+            fr.RegularizerConfig(scheme="spectral", stop_rule=("discrepancy",))
+
+    def test_bare_string_stop_rule_rejected(self):
+        with pytest.raises(ValueError, match="stop rule must be"):
+            fr.RegularizerConfig(scheme="spectral", stop_rule="fixed_list")
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, float("nan")])
+    def test_inner_solver_tol_outside_unit_interval_rejected(self, tol):
+        with pytest.raises(ValueError, match="inner_solver_tol"):
+            fr.RegularizerConfig(scheme="minimal_l2", inner_solver_tol=tol)
+
+    def test_max_inner_iterations_below_one_rejected(self):
+        with pytest.raises(ValueError, match="max_inner_iterations"):
+            fr.RegularizerConfig(scheme="minimal_l2", max_inner_iterations=0)
+
     def test_default_schedule_shape(self):
         sched = fr.default_alpha_schedule(2.0)
         assert len(sched) == 13
