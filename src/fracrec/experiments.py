@@ -121,9 +121,8 @@ def make_instability_geometry(
     """Box and regions for the decay series: interior (-1,1), window the
     symmetric shell {shell_radius - 1 < |x| < shell_radius}."""
     if shell_radius < 13.0:
-        raise ValueError(
-            f"shell radius must be >= 13 for a convergent far-field expansion, got {shell_radius}"
-        )
+        raise ValueError(f"shell radius must be >= 13, got {shell_radius}: the far-field "
+                         "expansion needs the window at distance >= 12 from the interior region")
     if box_radius <= shell_radius:
         raise ValueError("box radius must exceed the shell radius")
     box = build_box(box_radius, points)
@@ -261,12 +260,13 @@ def stability_sweep(
     1.5 * eta * ||h||), and record the error in the order-`s_prime` Sobolev
     norm.  Each (level, trial) pair owns its own seeded generator stream.
 
-    Raises ValueError unless trials >= 1, every level is finite and >= 0,
-    and at least two levels are positive (the fits need two points).
+    Raises ValueError unless 0 <= s_prime < s (s_prime = 0 is the L2 norm),
+    trials >= 1, every level is finite and >= 0, and at least two levels
+    are positive (the fits need two points).
     """
     m = op.machinery
-    if not (s_prime < m.order.s):
-        raise ValueError("s_prime must be strictly below the operator order")
+    if not (0.0 <= s_prime < m.order.s):
+        raise ValueError(f"s_prime must lie in [0, {m.order.s}), got {s_prime}")
     noise_levels = np.asarray(noise_levels, dtype=float)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -160,17 +160,16 @@ class SobolevMachinery:
 
     frac_lap is the symmetric PSD collocation matrix of the fractional
     Laplacian; gram_hs the SPD Gram matrix of the inhomogeneous Sobolev
-    inner product; both are `Circulant`s holding one column each.  mass
-    holds the diagonal quadrature weights.  Region-restricted matrices
-    (dual weights, minimal-L2 workspaces) are cached on the machinery under
-    a lock.
+    inner product; both are `Circulant`s holding one column each.  The
+    quadrature weight is the box spacing h at every node.  Region-restricted
+    matrices (Gram factors, minimal-L2 workspaces) are cached on the
+    machinery under a lock.
     """
 
     box: SimulationBox
     order: FractionalOrder
     frac_lap: Circulant
     gram_hs: Circulant
-    mass: np.ndarray
     dual_gram_cache: dict = field(default_factory=dict)
     _cache_lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -182,20 +181,22 @@ class SobolevMachinery:
                 val = self.dual_gram_cache[key] = build()
         return val
 
-    def dual_weight(self, region: np.ndarray) -> np.ndarray:
-        """Lower-triangular Q = L^-1 M on `region`, cached and read-only.
-
-        G = L L^T is the Cholesky factorization of the gram_hs block and
-        M = diag(mass), so Q^T Q = M G^-1 M and ||Q h|| is the dual Sobolev
-        norm of h.
-        """
+    def gram_factor(self, region: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Lower-triangular (L, L^-1) on `region`, cached and read-only,
+        where G = L L^T is the Cholesky factorization of the gram_hs block."""
         def build():
             chol = np.linalg.cholesky(self.gram_hs[np.ix_(region, region)])
-            q = tril_inverse(chol) * self.mass[region]
-            q.flags.writeable = False
-            return q
+            factor = chol, tril_inverse(chol)
+            for a in factor:
+                a.flags.writeable = False
+            return factor
 
         return self.cached(region.tobytes(), build)
+
+    def dual_weight(self, region: np.ndarray) -> np.ndarray:
+        """Lower-triangular Q = h L^-1 on `region` (see gram_factor), so
+        Q^T Q = h^2 G^-1 and ||Q h|| is the dual Sobolev norm of h."""
+        return self.box.spacing * self.gram_factor(region)[1]
 
 
 # order at and below which `tril_inverse` inverts a block directly
@@ -324,8 +325,7 @@ def build_sobolev(box: SimulationBox, order: FractionalOrder) -> SobolevMachiner
     xi = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
     frac_lap = Circulant(_circulant_column(np.abs(xi) ** (2.0 * order.s)))
     gram_hs = Circulant(h * _circulant_column((1.0 + xi ** 2) ** order.s))
-    mass = np.full(n, h)
-    return SobolevMachinery(box, order, frac_lap, gram_hs, mass)
+    return SobolevMachinery(box, order, frac_lap, gram_hs)
 
 
 def _check_same_box(m: SobolevMachinery, u: GridFunction) -> None:
@@ -355,8 +355,8 @@ def hminus_s_norm(m: SobolevMachinery, hfun: GridFunction, region: np.ndarray) -
 
     Realized as the dual norm of the region-supported Sobolev space:
     sup over region-supported phi of (h, phi)_L2 / ||phi||_Hs, i.e.
-    sqrt(h^T M_r G_r^{-1} M_r h) = ||Q h|| with the region blocks and the
-    machinery's cached dual weight Q.
+    sqrt(h^T M_r G_r^{-1} M_r h) = ||Q h|| with the region Gram block G_r,
+    the mass M_r = spacing * I and the machinery's dual weight Q.
     """
     _check_same_box(m, hfun)
     if len(region) == 0:

@@ -6,10 +6,11 @@ fractional Laplacian on an exterior window W.  Its domain carries the
 Sobolev inner product restricted to omega-supported vectors and its range
 the dual Sobolev inner product on W, so the singular value decomposition is
 computed for the congruence-transformed matrix Q B R^{-1} = U diag(sigma) V^T,
-where G_omega = R^T R and the dual Gram on W equals Q^T Q (Q is the
-machinery's cached dual weight).  Each operator holds R^{-1} and computes
-the SVD factors once, on first use, and keeps them; the singular values,
-the numerical rank and the modes are read from the operator.
+where G_omega = R^T R and the dual Gram on W equals Q^T Q; R = L^T and
+Q = h L_W^{-1} come from the machinery's cached Gram factors of omega and
+W.  Each operator holds R^{-1} and computes the SVD factors once, on first
+use, and keeps them; the singular values, the numerical rank and the modes
+are read from the operator.
 
 Inversion schemes:
 
@@ -39,7 +40,7 @@ from functools import cached_property
 import numpy as np
 
 from .forward import Potential, solve_dirichlet
-from .grid import GridFunction, IndexSets, SobolevMachinery, tril_inverse
+from .grid import GridFunction, IndexSets, SobolevMachinery
 
 __all__ = [
     "UcpOperator",
@@ -55,8 +56,14 @@ __all__ = [
     "default_alpha_schedule",
 ]
 
+# the inversion schemes a RegularizerConfig names
+SCHEMES = ("spectral", "tikhonov", "minimal_l2")
+
 # singular values below RANK_RTOL * sigma_1 count as numerically zero
 RANK_RTOL = 1e-12
+
+# minimal_l2 defaults: relative KKT tolerance and bisection step cap
+MINIMAL_L2_TOL, MINIMAL_L2_MAX_STEPS = 1e-10, 200_000
 
 
 class OptimizerNonConvergence(RuntimeError):
@@ -148,11 +155,11 @@ class RegularizerConfig:
     scheme: str = "tikhonov"
     alpha_schedule: np.ndarray | None = None
     stop_rule: tuple = ("fixed_list",)
-    inner_solver_tol: float = 1e-10       # minimal_l2 relative KKT tolerance
-    max_inner_iterations: int = 200_000   # minimal_l2 bisection step cap
+    inner_solver_tol: float = MINIMAL_L2_TOL
+    max_inner_iterations: int = MINIMAL_L2_MAX_STEPS
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("spectral", "tikhonov", "minimal_l2"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.alpha_schedule is not None:
             a = np.asarray(self.alpha_schedule, dtype=float)
@@ -185,10 +192,10 @@ def assemble_ucp(
     if len(sets.omega) == 0 or len(w) == 0:
         raise ValueError("omega and the window must be nonempty")
     matrix = m.frac_lap[np.ix_(w, sets.omega)]
-    chol = np.linalg.cholesky(m.gram_hs[np.ix_(sets.omega, sets.omega)])
+    chol, chol_inv = m.gram_factor(sets.omega)
     # R^-1 in C order: the layout picks the BLAS kernel, hence the rounding,
     # of `weighted`, and its smallest singular triplets are that sensitive
-    r, r_inv = chol.T, np.ascontiguousarray(tril_inverse(chol).T)
+    r, r_inv = chol.T, np.ascontiguousarray(chol_inv.T)
     q = m.dual_weight(w)
     return UcpOperator(
         matrix=matrix,
@@ -292,16 +299,15 @@ class _MinimalL2Workspace:
     """Matrices of the control problem for one (omega, window) pair."""
 
     def __init__(
-        self, m: SobolevMachinery, omega: np.ndarray, window: np.ndarray, q_window: np.ndarray
+        self, m: SobolevMachinery, omega: np.ndarray, window: np.ndarray, l_inv: np.ndarray
     ):
         self.spacing = m.box.spacing
         a_oo = m.frac_lap[np.ix_(omega, omega)]
         coupling = m.frac_lap[np.ix_(omega, window)]
         # control-to-state map in omega coordinates (zero potential)
         self.state_map = -np.linalg.solve(a_oo, coupling)
-        # C^{-1} (upper triangular) with G_W = C^T C, from the dual weight
-        # Q = C^{-T} M and the uniform mass M = h I
-        self.chol_inv = q_window.T / self.spacing
+        # C^{-1} = L^{-T} (upper triangular) with G_W = C^T C = L L^T
+        self.chol_inv = l_inv.T
         tc = self.state_map @ self.chol_inv
         # Sobolev control coordinates y to the dual state phi = -A_oo^{-1} u
         self.phi_map = -np.linalg.solve(a_oo, tc)
@@ -320,8 +326,8 @@ def _minl2_workspace(m: SobolevMachinery, sets: IndexSets, window: np.ndarray):
     """The machinery's cached workspace for (sets.omega, window)."""
     key = ("minimal_l2", sets.omega.tobytes(), window.tobytes())
     # fetched outside `m.cached`, whose lock is held while a value is built
-    q_window = m.dual_weight(window)
-    return m.cached(key, lambda: _MinimalL2Workspace(m, sets.omega, window, q_window))
+    l_inv = m.gram_factor(window)[1]
+    return m.cached(key, lambda: _MinimalL2Workspace(m, sets.omega, window, l_inv))
 
 
 def _minimal_l2_solve(
@@ -388,8 +394,8 @@ def minimal_l2_reconstruct(
     sets: IndexSets,
     window_vals: np.ndarray,
     alpha: float,
-    tol: float = 1e-8,
-    max_iterations: int = 200_000,
+    tol: float = MINIMAL_L2_TOL,
+    max_iterations: int = MINIMAL_L2_MAX_STEPS,
     window: np.ndarray | None = None,
 ) -> MinimalL2Result:
     """Minimal-L2-norm inversion of the interior-to-window map.

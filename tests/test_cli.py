@@ -202,6 +202,42 @@ class TestUsageErrors:
         assert "--alpha-list" in capsys.readouterr().out
 
 
+class TestGlobalFlags:
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--quiet"]], ids=["seed", "quiet"])
+    def test_flag_before_verb_acts_as_after(self, tmp_path, capsys, flag):
+        doc = base_problem()
+        doc["noise"]["level"] = 1e-4
+        path = write_problem(tmp_path, doc)
+        out = tmp_path / "rep.json"
+        runs = []
+        for argv in (flag + ["reconstruct", path, str(out)],
+                     ["reconstruct", path, str(out)] + flag):
+            assert main(argv) == EXIT_OK
+            runs.append((out.read_bytes(), capsys.readouterr().err))
+        assert runs[0] == runs[1]
+        if flag[0] == "--seed":
+            assert json.loads(runs[0][0])["seed"] == 7
+        else:
+            assert runs[0][1] == ""
+
+
+class TestOsErrors:
+    def test_directory_as_problem_exits_1(self, tmp_path, capsys):
+        assert main(["forward", str(tmp_path), str(tmp_path / "f.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not (tmp_path / "f.json").exists()
+
+    def test_directory_as_output_exits_1_without_temp_file(self, tmp_path, capsys):
+        path = write_problem(tmp_path, base_problem())
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["forward", path, str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert out.is_dir() and not list(tmp_path.rglob(".tmp-*~"))
+
+
 class TestBlasThreadDefault:
     @pytest.mark.parametrize("overrides, want", [
         ({}, "1"),
@@ -492,6 +528,16 @@ class TestStabilityCommand:
         assert main(["stability", path, str(out), "--trials", "1"] + extra) == EXIT_VALIDATION
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
+
+
+    def test_negative_s_prime_exits_1(self, tmp_path, capsys):
+        path = write_problem(tmp_path, base_problem())
+        out = tmp_path / "st.csv"
+        code = main(["stability", path, str(out), "--trials", "1", "--s-prime", "-0.5"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "s_prime" in err[0]
         assert not out.exists()
 
 
