@@ -44,6 +44,7 @@ from .ucp import (
     default_alpha_schedule,
     minimal_l2_reconstruct,
     runge_approximate,
+    solve_schedule,
     spectral_reconstruct,
     tikhonov_reconstruct,
     ucp_svd,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -47,7 +46,6 @@ from .ucp import (
     RegularizerConfig,
     assemble_ucp,
     default_alpha_schedule,
-    ucp_svd,
 )
 from .experiments import (
     instability_series,
@@ -102,8 +100,8 @@ def _intervals(obj: dict, where: str) -> dict:
 
 def parse_problem(doc: dict) -> dict:
     """Validate a problem document and return the normalized configuration;
-    a value of the wrong JSON type, or an integer too large for a float, is
-    reported as a ProblemValidationError."""
+    a value of the wrong JSON type, or a size whose footprint estimate
+    overflows, is reported as a ProblemValidationError."""
     try:
         return _parse_problem(doc)
     except (TypeError, AttributeError, OverflowError) as exc:
@@ -180,7 +178,8 @@ def _check_footprint(radius: float, points: int, intervals: list, vectors: int =
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite float, or an int no larger in magnitude than the largest float."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _number(v, where: str, integer: bool = False):
@@ -456,7 +455,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     _, m, sets, _ = _setup(args)
-    rep = spectrum_report(ucp_svd(assemble_ucp(m, sets)))
+    rep = spectrum_report(assemble_ucp(m, sets))
     _write_csv(args.out_csv, "j,sigma,log10_sigma",
                zip(rep["j"], rep["sigma"], rep["log10_sigma"]),
                {"numerical_rank": rep["numerical_rank"], "slope": rep["slope"]})

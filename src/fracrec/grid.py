@@ -161,9 +161,9 @@ class SobolevMachinery:
     Laplacian; gram_hs the SPD Gram matrix of the inhomogeneous Sobolev
     inner product; both are `Circulant`s holding one column each.  The
     quadrature weight is the box spacing h at every node.  `cached` keeps
-    what is built once per (omega, window) pair under a lock: the arrays
-    of the interior-to-window operator and the minimal-L2 workspace.  Gram
-    factors are not kept: each build factors the regions it needs.
+    what is built once per (omega, w2) pair under a lock: the arrays of the
+    interior-to-window operator and the minimal-L2 workspace made from them.
+    Gram factors are not kept: the operator's build factors both regions.
     """
 
     box: SimulationBox

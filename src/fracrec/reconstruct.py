@@ -35,12 +35,9 @@ from .ucp import (
     OptimizerNonConvergence,
     RegularizerConfig,
     UcpOperator,
-    _filter_gains,
-    _filtered_solve,
-    _minimal_l2_solve,
-    _minl2_workspace,
     assemble_ucp,
     default_alpha_schedule,
+    solve_schedule,
 )
 
 __all__ = [
@@ -122,12 +119,11 @@ def recover_interior(
     """Step (2): run the selected scheme over the alpha schedule.
 
     Returns the stop-rule iterate and the residual/penalty trace; without a
-    schedule, default_alpha_schedule(sigma_1) is run.  Each scheme solves
-    the whole schedule at once: spectral and tikhonov as one filtered solve,
-    minimal_l2 as one secular bisection that ends the schedule before the
-    first alpha without a certified minimizer.  Each trace row holds the
-    dual norm of its iterate's window residual and the iterate's Sobolev
-    norm, both from the assembled operator.  The fixed-list rule returns
+    schedule, default_alpha_schedule(sigma_1) is run.  solve_schedule solves
+    the whole schedule at once; minimal_l2 ends it before the first alpha
+    without a certified minimizer.  Each trace row holds the dual norm of
+    its iterate's window residual and the iterate's Sobolev norm, both
+    from the assembled operator.  The fixed-list rule returns
     the last iterate; ("discrepancy", delta) cuts the trace at the first
     row whose residual is at or below delta and returns that row's iterate.
     `keep_iterates` adds each row's iterate to it (small problems only).
@@ -138,13 +134,7 @@ def recover_interior(
         alphas = cfg.alpha_schedule
     delta = cfg.stop_rule[1] if cfg.stop_rule[0] == "discrepancy" else None
     window_vals = np.asarray(window_vals, dtype=float)
-    if cfg.scheme == "minimal_l2":
-        ws = _minl2_workspace(op.machinery, op.sets, op.window)
-        tol, cap = cfg.inner_solver_tol, cfg.max_inner_iterations
-        iterates = ws.phi_map @ _minimal_l2_solve(ws, window_vals, alphas, tol, cap)[0]
-    else:
-        gains = _filter_gains(cfg.scheme, op.sigmas, alphas)
-        iterates, _ = _filtered_solve(op, window_vals, gains)
+    iterates = solve_schedule(op, window_vals, cfg, alphas)
     residuals, penalties = _trace_norms(op, iterates, window_vals)
 
     hits = np.flatnonzero(residuals <= delta) if delta is not None else []

@@ -2,26 +2,26 @@
 its weighted SVD, and three constructive inversion schemes.
 
 The operator maps interior-supported functions v to the values of their
-fractional Laplacian on an exterior window W.  Its domain carries the
-Sobolev inner product restricted to omega-supported vectors and its range
-the dual Sobolev inner product on W, so the singular value decomposition is
-computed for the congruence-transformed matrix Q B R^{-1} = U diag(sigma) V^T,
-where G_omega = R^T R and the dual Gram on W equals Q^T Q; R = L^T and
-Q = h L_W^{-1} come from the Gram factors of omega and W.  The machinery
-keeps B, R, R^{-1}, Q and Q B R^{-1} read-only per (omega, W); each operator
-computes its own SVD factors on first use and keeps them, and the singular
-values, the numerical rank and the modes are read from the operator.
+fractional Laplacian on the measurement window W = w2.  Its domain carries
+the Sobolev inner product restricted to omega-supported vectors and its
+range the dual Sobolev inner product on W, so the singular value
+decomposition is computed for the congruence-transformed matrix
+Q B R^{-1} = U diag(sigma) V^T, where G_omega = R^T R and the dual Gram on
+W equals Q^T Q; R = L^T and Q = h L_W^{-1} come from the Gram factors of
+omega and W.  The machinery keeps B, R, R^{-1}, Q and Q B R^{-1} read-only
+per (omega, W); each operator computes its own SVD factors on first use
+and keeps them, and the singular values, the numerical rank and the modes
+are read from the operator.
 
-Inversion schemes:
+solve_schedule runs any of the three inversion schemes over a whole alpha
+schedule and returns its K iterates as the columns of one matrix:
 
 * spectral and tikhonov are filters on those factors: in the Sobolev
   coordinates y = R w the solution is V diag(f(sigma)) U^T Q h, with
   f(sigma) = 1[sigma >= alpha] / sigma (truncated SVD) or
   f(sigma) = sigma / (sigma^2 + alpha) (the minimizer of
-  ||L w - h||_dual^2 + alpha ||w||_Hs^2).  One filtered solve takes a
-  K x r matrix of filter factors, one row per alpha, and returns the K
-  iterates as the columns of one matrix, so a whole alpha schedule costs
-  a few matrix products;
+  ||L w - h||_dual^2 + alpha ||w||_Hs^2).  A K x r matrix of filter
+  factors, one row per alpha, makes the schedule a few matrix products;
 * minimal_l2: convex control formulation over window-supported exterior
   data with a norm (not squared-norm) penalty, minimized exactly by one
   eigendecomposition of the control Hessian and a bisection for the root
@@ -29,7 +29,8 @@ Inversion schemes:
   optimal control into the interior reconstruction, which carries an
   alpha-level residual certificate.  The gains 1 / (d + mu_k) differ per
   alpha only through mu_k, so one vectorized bisection finds every mu_k
-  of a schedule and its K controls come out as the columns of one matrix.
+  of a schedule.  Its workspace reads the window's coupling block B^T and
+  Gram factor Q from the operator, so W is gathered and factored once.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "OptimizerNonConvergence",
     "assemble_ucp",
     "ucp_svd",
+    "solve_schedule",
     "spectral_reconstruct",
     "tikhonov_reconstruct",
     "minimal_l2_reconstruct",
@@ -77,10 +79,9 @@ class UcpOperator:
     """Dense realization of the interior-to-window map with its shared
     weighted geometry and, formed on first read, its own weighted SVD."""
 
-    matrix: np.ndarray            # |W| x |omega|, rows are window nodes
+    matrix: np.ndarray            # |W| x |omega|, rows are the w2 nodes
     sets: IndexSets
     machinery: SobolevMachinery
-    window: np.ndarray            # node indices of W (default: w2)
     domain_chol: np.ndarray       # R with G_omega = R^T R (upper triangular)
     domain_chol_inv: np.ndarray   # R^{-1} (upper triangular)
     range_weight: np.ndarray      # Q with dual Gram on W = Q^T Q (lower triangular)
@@ -181,30 +182,24 @@ def default_alpha_schedule(sigma1: float, kmax: int = 12, step: float = 0.5) -> 
     return sigma1 * 10.0 ** (-step * np.arange(kmax + 1))
 
 
-def assemble_ucp(
-    m: SobolevMachinery, sets: IndexSets, window: np.ndarray | None = None
-) -> UcpOperator:
-    """The dense interior-to-window operator with its weighted geometry.
-
-    `window` defaults to the measurement window w2.  Every call on one
-    (omega, window) shares the same read-only arrays but not the SVD.
-    """
-    w = sets.w2 if window is None else np.asarray(window)
-    if len(sets.omega) == 0 or len(w) == 0:
+def assemble_ucp(m: SobolevMachinery, sets: IndexSets) -> UcpOperator:
+    """The dense omega-to-w2 operator with its weighted geometry.  Every
+    call on one (omega, w2) shares the same read-only arrays but not the SVD."""
+    if len(sets.omega) == 0 or len(sets.w2) == 0:
         raise ValueError("omega and the window must be nonempty")
-    key = ("ucp", sets.omega.tobytes(), w.tobytes())
-    arrays = m.cached(key, lambda: _operator_arrays(m, sets.omega, w))
-    return UcpOperator(sets=sets, machinery=m, window=w, **arrays)
+    key = ("ucp", sets.omega.tobytes(), sets.w2.tobytes())
+    arrays = m.cached(key, lambda: _operator_arrays(m, sets))
+    return UcpOperator(sets=sets, machinery=m, **arrays)
 
 
-def _operator_arrays(m: SobolevMachinery, omega: np.ndarray, window: np.ndarray) -> dict:
-    """The read-only UcpOperator fields that depend on (omega, window) alone."""
-    matrix = m.frac_lap[np.ix_(window, omega)]
-    chol, chol_inv = m.gram_factor(omega)
+def _operator_arrays(m: SobolevMachinery, sets: IndexSets) -> dict:
+    """The read-only UcpOperator fields that depend on (omega, w2) alone."""
+    matrix = m.frac_lap[np.ix_(sets.w2, sets.omega)]
+    chol, chol_inv = m.gram_factor(sets.omega)
     # R^-1 in C order: the layout picks the BLAS kernel, hence the rounding,
     # of `weighted`, and its smallest singular triplets are that sensitive
     r_inv = np.ascontiguousarray(chol_inv.T)
-    q = m.dual_weight(window)
+    q = m.dual_weight(sets.w2)
     arrays = {"matrix": matrix, "domain_chol": chol.T, "domain_chol_inv": r_inv,
               "range_weight": q, "weighted": q @ matrix @ r_inv}
     for a in arrays.values():
@@ -218,33 +213,40 @@ def ucp_svd(op: UcpOperator) -> UcpOperator:
     return op
 
 
-def _filter_gains(scheme: str, sig: np.ndarray, alphas) -> np.ndarray:
-    """K x r filter factors f_k(sigma) of `scheme`, one row per alpha_k:
-    1[sigma >= alpha] / sigma for "spectral", sigma / (sigma^2 + alpha)
-    for "tikhonov"."""
+def solve_schedule(
+    op: UcpOperator, window_vals: np.ndarray, cfg: RegularizerConfig, alphas
+) -> np.ndarray:
+    """The omega iterates of cfg.scheme on the window data, one column per
+    alpha of the decreasing schedule `alphas`.
+
+    spectral and tikhonov are one filtered solve R^-1 V diag(f_k) U^T Q h
+    with filter factors f_k(sigma) = 1[sigma >= alpha_k] / sigma or
+    sigma / (sigma^2 + alpha_k).  minimal_l2 is one secular bisection (see
+    minimal_l2_reconstruct) with cfg's tolerance and step cap; its schedule
+    ends before the first alpha without a certified minimizer, so it may
+    return fewer columns, and it raises OptimizerNonConvergence when that
+    is the first alpha.
+    """
+    window_vals = np.asarray(window_vals, dtype=float)
+    if cfg.scheme == "minimal_l2":
+        ws = _minl2_workspace(op)
+        tol, cap = cfg.inner_solver_tol, cfg.max_inner_iterations
+        return ws.phi_map @ _minimal_l2_solve(ws, window_vals, alphas, tol, cap)[0]
+    u, sig, vt = op.svd_factors
     a = np.asarray(alphas, dtype=float)[:, None]
-    if scheme == "spectral":
+    if cfg.scheme == "spectral":
         keep = sig >= a
-        return np.divide(1.0, sig, out=np.zeros(keep.shape), where=keep)
-    return sig / (sig**2 + a)
-
-
-def _filtered_solve(
-    op: UcpOperator, window_vals: np.ndarray, gains: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The omega iterates R^-1 V diag(g_k) U^T Q h, one column per row g_k
-    of the K x r `gains`, returned with the weighted data Q h."""
-    u, _, vt = op.svd_factors
-    qh = op.range_weight @ np.asarray(window_vals)
-    return op.domain_chol_inv @ (vt.T @ (gains * (u.T @ qh)).T), qh
+        gains = np.divide(1.0, sig, out=np.zeros(keep.shape), where=keep)
+    else:
+        gains = sig / (sig**2 + a)
+    qh = op.range_weight @ window_vals
+    return op.domain_chol_inv @ (vt.T @ (gains * (u.T @ qh)).T)
 
 
 def spectral_reconstruct(op: UcpOperator, window_vals: np.ndarray, alpha: float) -> GridFunction:
     """Truncated-SVD inversion keeping singular values >= alpha."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    w, _ = _filtered_solve(op, window_vals, _filter_gains("spectral", op.sigmas, [alpha]))
-    return op.embed_domain(w[:, 0])
+    cfg = RegularizerConfig(scheme="spectral", alpha_schedule=[alpha])
+    return op.embed_domain(solve_schedule(op, window_vals, cfg, cfg.alpha_schedule)[:, 0])
 
 
 def tikhonov_reconstruct(
@@ -261,26 +263,25 @@ def tikhonov_reconstruct(
     normal equations.  The certificate is evaluated on the returned
     iterate with the assembled weighted matrix, not the SVD factors (in
     whose coordinates it vanishes by construction), so it checks the
-    filtered solve independently.
+    filtered solve independently.  It is 0 only for zero data and a zero
+    iterate, and NaN when the data hold a NaN.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    sig = op.sigmas
-    w, qh = _filtered_solve(op, window_vals, _filter_gains("tikhonov", sig, [alpha]))
-    w = w[:, 0]
+    cfg = RegularizerConfig(scheme="tikhonov", alpha_schedule=[alpha])
+    w = solve_schedule(op, window_vals, cfg, cfg.alpha_schedule)[:, 0]
     y = op.domain_chol @ w
+    qh = op.range_weight @ np.asarray(window_vals, dtype=float)
 
     lam = op.weighted
     resid_vec = lam @ y - qh
     grad = 2.0 * (lam.T @ resid_vec + alpha * y)
-    sigma1 = float(sig[0])
+    sigma1 = float(op.sigmas[0])
     scale = 2.0 * (
         (sigma1 ** 2 + alpha) * np.linalg.norm(y) + sigma1 * np.linalg.norm(qh)
     )
     info = {
         "residual_dual": float(np.linalg.norm(resid_vec)),
         "penalty_hs": float(np.linalg.norm(y)),
-        "gradient_certificate": float(np.linalg.norm(grad) / scale) if scale > 0 else 0.0,
+        "gradient_certificate": float(np.linalg.norm(grad) / scale) if scale != 0 else 0.0,
     }
     return op.embed_domain(w), info
 
@@ -299,23 +300,27 @@ class MinimalL2Result:
 
 
 class _MinimalL2Workspace:
-    """Matrices of the control problem for one (omega, window) pair."""
+    """Matrices of the control problem on an operator's (omega, w2) pair.
 
-    def __init__(self, m: SobolevMachinery, omega: np.ndarray, window: np.ndarray):
-        self.spacing = m.box.spacing
-        a_oo = m.frac_lap[np.ix_(omega, omega)]
-        coupling = m.frac_lap[np.ix_(omega, window)]
+    The coupling block A[omega, W] is the operator's matrix transposed and
+    the window's inverse Cholesky factor C^-1 = Q^T / h its range weight
+    rescaled, so the window is gathered and factored once per geometry.
+    """
+
+    def __init__(self, op: UcpOperator):
+        self.spacing = op.machinery.box.spacing
+        a_oo = op.machinery.frac_lap[np.ix_(op.sets.omega, op.sets.omega)]
         # control-to-state map in omega coordinates (zero potential)
-        self.state_map = -np.linalg.solve(a_oo, coupling)
-        # C^{-1} = L^{-T} (upper triangular) with G_W = C^T C = L L^T
-        self.chol_inv = m.gram_factor(window)[1].T
+        self.state_map = -np.linalg.solve(a_oo, op.matrix.T)
+        # C^{-1} = L^{-T} = Q^T / h (upper triangular) with G_W = C^T C = L L^T
+        self.chol_inv = op.range_weight.T / self.spacing
         tc = self.state_map @ self.chol_inv
         # Sobolev control coordinates y to the dual state phi = -A_oo^{-1} u
         self.phi_map = -np.linalg.solve(a_oo, tc)
         self.smooth_hessian = self.spacing * (tc.T @ tc)
         # eigenvalues at or below n * eps * d_max span the floating-point null space
         d, self.eigvecs = np.linalg.eigh(self.smooth_hessian)
-        d[d <= len(window) * np.finfo(float).eps * d[-1]] = 0.0
+        d[d <= op.n_window * np.finfo(float).eps * d[-1]] = 0.0
         self.eigvals = d
 
     def data_vector(self, window_vals: np.ndarray) -> np.ndarray:
@@ -323,10 +328,10 @@ class _MinimalL2Workspace:
         return self.spacing * (self.chol_inv.T @ np.asarray(window_vals))
 
 
-def _minl2_workspace(m: SobolevMachinery, sets: IndexSets, window: np.ndarray):
-    """The machinery's cached workspace for (sets.omega, window)."""
-    key = ("minimal_l2", sets.omega.tobytes(), window.tobytes())
-    return m.cached(key, lambda: _MinimalL2Workspace(m, sets.omega, window))
+def _minl2_workspace(op: UcpOperator) -> _MinimalL2Workspace:
+    """The machinery's cached workspace for the operator's (omega, w2)."""
+    key = ("minimal_l2", op.sets.omega.tobytes(), op.sets.w2.tobytes())
+    return op.machinery.cached(key, lambda: _MinimalL2Workspace(op))
 
 
 def _minimal_l2_solve(
@@ -395,7 +400,6 @@ def minimal_l2_reconstruct(
     alpha: float,
     tol: float = MINIMAL_L2_TOL,
     max_iterations: int = MINIMAL_L2_MAX_STEPS,
-    window: np.ndarray | None = None,
 ) -> MinimalL2Result:
     """Minimal-L2-norm inversion of the interior-to-window map.
 
@@ -408,7 +412,7 @@ def minimal_l2_reconstruct(
     rises in mu; its root is bisected in log mu, from below, until
     1 - mu ||y|| / alpha <= `tol`, the relative KKT residual.  `iterations`
     counts the bisection steps; reaching `max_iterations` raises.  This is
-    the one-alpha case of the schedule solve that recover_interior runs.
+    the one-alpha case of solve_schedule.
     The interior reconstruction phi_hat solves the dual problem
     (A phi_hat)|_omega = -u_hat|_omega with zero exterior values and carries
     the certificate ||(A phi_hat)|_W - h||_dual <= alpha at the optimum.
@@ -419,14 +423,13 @@ def minimal_l2_reconstruct(
     exceeds alpha (1 + `tol`): the zeroed eigenvalues still act there on
     the null components beta_i / mu of y, large when mu is tiny.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    w = sets.w2 if window is None else np.asarray(window)
-    ws = _minl2_workspace(m, sets, w)
+    cfg = RegularizerConfig(scheme="minimal_l2", alpha_schedule=[alpha],
+                            inner_solver_tol=tol, max_inner_iterations=max_iterations)
+    ws = _minl2_workspace(assemble_ucp(m, sets))
     ys, residuals, steps = _minimal_l2_solve(ws, window_vals, [alpha], tol, max_iterations)
     y, f_w = ys[:, 0], ws.chol_inv @ ys[:, 0]
     f_full, phi_full = np.zeros(m.box.size), np.zeros(m.box.size)
-    f_full[w] = f_w
+    f_full[sets.w2] = f_w
     u_full = f_full.copy()
     u_full[sets.omega] = ws.state_map @ f_w
     phi_full[sets.omega] = ws.phi_map @ y

@@ -39,9 +39,9 @@ def sets_pipeline(box):
 
 
 @pytest.fixture(scope="session")
-def op_onesided(mach, sets_classic):
-    """Interior-to-window operator with the one-sided window (2,3)."""
-    return fr.assemble_ucp(mach, sets_classic, window=sets_classic.w1)
+def op_onesided(mach, box):
+    """Interior-to-window operator with the one-sided window (2,3) as w2."""
+    return fr.assemble_ucp(mach, fr.build_index_sets(box, OMEGA, W1_CLASSIC, W1_CLASSIC))
 
 
 @pytest.fixture(scope="session")

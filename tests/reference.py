@@ -20,6 +20,7 @@ from fracrec import (
     RegularizerConfig,
     SobolevMachinery,
     UcpOperator,
+    assemble_ucp,
     solve_dirichlet,
 )
 from fracrec.grid import _check_same_box
@@ -161,15 +162,14 @@ def minimal_l2_oracle(
     alpha: float,
     tol: float = 1e-8,
     max_iterations: int = 200_000,
-    window: np.ndarray | None = None,
 ) -> MinimalL2Result:
     """The minimal-L2 minimizer at one alpha by a scalar bisection of the
     secular equation, with the interior reconstruction from its own dense
     solve with A_oo.  Same contract as fracrec.minimal_l2_reconstruct."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    w = sets.w2 if window is None else np.asarray(window)
-    ws = _minl2_workspace(m, sets, w)
+    w = sets.w2
+    ws = _minl2_workspace(assemble_ucp(m, sets))
     b = ws.data_vector(window_vals)
     d, beta = ws.eigvals, ws.eigvecs.T @ b
     nb, null = float(np.linalg.norm(b)), float(np.linalg.norm(beta[d == 0.0]))
@@ -241,7 +241,6 @@ def minimal_l2_oracle_iterates(
             res = minimal_l2_oracle(
                 op.machinery, op.sets, window_vals, alpha,
                 tol=cfg.inner_solver_tol, max_iterations=cfg.max_inner_iterations,
-                window=op.window,
             )
         except OptimizerNonConvergence:
             if not cols:

@@ -140,17 +140,22 @@ class TestMalformedInput:
         box = fr.build_box(doc["box"]["radius"], doc["box"]["points"])
         sets = fr.build_index_sets(box, doc["omega"]["intervals"], doc["w1"]["intervals"],
                                    doc["w2"]["intervals"])
-        g = [0.0] * len(sets.w2)
-        g[3] = float("nan")
-        gpath = tmp_path / "g.json"
-        gpath.write_text(json.dumps({"values": g}))
-        doc["g"] = {"path": str(gpath)}
-        path = write_problem(tmp_path, doc)
-        assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+        # an int past the float range used to end in an OverflowError traceback
+        for bad in (float("nan"), 10**400):
+            g = [0.0] * len(sets.w2)
+            g[3] = bad
+            gpath = tmp_path / "g.json"
+            gpath.write_text(json.dumps({"values": g}))
+            doc["g"] = {"path": str(gpath)}
+            path = write_problem(tmp_path, doc)
+            assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
 
-    @pytest.mark.parametrize("data", [{"vals": [1.0]}, {"values": [1.0, None]}, [1.0]])
+    # the last case, an int past the float range, used to end in a traceback
+    @pytest.mark.parametrize("data", [
+        {"vals": [1.0]}, {"values": [1.0, None]}, [1.0], {"values": [10**400]},
+    ])
     def test_malformed_profile_file_exits_1(self, tmp_path, capsys, data):
         fpath = tmp_path / "q.json"
         fpath.write_text(json.dumps(data))
@@ -333,11 +338,15 @@ class TestForwardCommand:
 
 class TestReconstructCommand:
     def test_example_factors_omega_and_window_once(self, tmp_path, cholesky_calls):
-        assert main(["reconstruct", str(EXAMPLE), str(tmp_path / "rep.json"), "--quiet"]) == EXIT_OK
         box = fr.build_box(16.0, 512)
         sets = fr.build_index_sets(box, [(-1.0, 1.0)], [(4.0, 5.0)], [(-3.0, -1.25), (1.25, 3.0)])
         n_om, n_w = len(sets.omega), len(sets.w2)
-        assert sorted(cholesky_calls) == sorted([(n_om, n_om), (n_w, n_w)])
+        argv = ["reconstruct", str(EXAMPLE), str(tmp_path / "rep.json"), "--quiet"]
+        # the minimal-norm workspace takes the window's factor from the operator
+        for extra in ([], ["--scheme", "minimal_l2", "--alpha-list", "1e-2,1e-3", "--tau", "0.01"]):
+            cholesky_calls.clear()
+            assert main(argv + extra) == EXIT_OK
+            assert sorted(cholesky_calls) == sorted([(n_om, n_om), (n_w, n_w)])
 
     def test_zero_potential_recovery(self, tmp_path):
         doc = base_problem()

@@ -156,7 +156,7 @@ class TestRecoverInterior:
         rec = fr.synthetic_measurement(mach, sets_pipeline, q, f)
         h = fr.measurement_to_h(mach, sets_pipeline, rec)
         h_noisy = h * (1.0 + 0.02 * rng.standard_normal(len(h)))
-        ws = _minl2_workspace(mach, sets_pipeline, sets_pipeline.w2)
+        ws = _minl2_workspace(fr.assemble_ucp(mach, sets_pipeline))
         for vals, scales in ((h, (1e-2, 1e-4)), (h_noisy, (1e-2,))):
             b = ws.data_vector(vals)
             for scale in scales:
@@ -172,7 +172,7 @@ class TestRecoverInterior:
         # noisy data has a sizeable null-space component; every alpha either
         # has no minimizer or returns a point within the residual certificate
         q, f, _ = ground_truth
-        ws = _minl2_workspace(mach, sets_pipeline, sets_pipeline.w2)
+        ws = _minl2_workspace(fr.assemble_ucp(mach, sets_pipeline))
         for level in (1e-4, 1e-2):
             rec = fr.synthetic_measurement(mach, sets_pipeline, q, f, noise_level=level, seed=3)
             h = fr.measurement_to_h(mach, sets_pipeline, rec)
@@ -310,7 +310,7 @@ class TestMinimalL2ScheduleOracle:
         q, f, _ = ground_truth
         rec = fr.synthetic_measurement(mach, sets, q, f, noise_level=noise, seed=2)
         h = fr.measurement_to_h(mach, sets, rec)
-        ws = _minl2_workspace(mach, sets, sets.w2)
+        ws = _minl2_workspace(fr.assemble_ucp(mach, sets))
         b = ws.data_vector(h)
         beta = ws.eigvecs.T @ b
         return h, float(np.linalg.norm(b)), float(np.linalg.norm(beta[ws.eigvals == 0.0]))

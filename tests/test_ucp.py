@@ -1,5 +1,6 @@
 """Interior-to-window operator, weighted SVD, and the three inversion schemes."""
 
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -29,8 +30,8 @@ class TestAssembly:
         e = np.zeros(op_onesided.n_omega)
         e[j] = 1.0
         full = mach.frac_lap @ op_onesided.embed_domain(e).values
-        assert np.array_equal(op_onesided.matrix[:, j], full[op_onesided.window]) or \
-            np.abs(op_onesided.matrix[:, j] - full[op_onesided.window]).max() <= 1e-12
+        assert np.array_equal(op_onesided.matrix[:, j], full[op_onesided.sets.w2]) or \
+            np.abs(op_onesided.matrix[:, j] - full[op_onesided.sets.w2]).max() <= 1e-12
 
     def test_two_route_agreement(self, op_onesided, mach, box, rng):
         v = random_omega_bump(box, rng)
@@ -40,7 +41,7 @@ class TestAssembly:
         vals[~keep] = 0.0
         gf = fr.GridFunction(vals, box)
         via_matrix = op_onesided.apply(gf)
-        via_full = ref.fraclap_apply(mach, gf).values[op_onesided.window]
+        via_full = ref.fraclap_apply(mach, gf).values[op_onesided.sets.w2]
         assert np.abs(via_matrix - via_full).max() <= 1e-12 * np.abs(via_full).max()
 
     def test_off_support_smallness(self, op_onesided, mach, box, rng):
@@ -49,13 +50,13 @@ class TestAssembly:
         v = random_omega_bump(box, rng)
         om = op_onesided.sets.omega
         av = ref.fraclap_apply(mach, v).values
-        win = np.sqrt(box.spacing * np.sum(av[op_onesided.window] ** 2))
+        win = np.sqrt(box.spacing * np.sum(av[op_onesided.sets.w2] ** 2))
         inside = np.sqrt(box.spacing * np.sum(av[om] ** 2))
         assert win <= 5e-2 * inside
 
     def test_empty_window_rejected(self, mach, sets_classic):
         with pytest.raises(ValueError, match="nonempty"):
-            fr.assemble_ucp(mach, sets_classic, window=np.array([], dtype=int))
+            fr.assemble_ucp(mach, dataclasses.replace(sets_classic, w2=np.array([], dtype=int)))
 
 
 class TestWeightedSvd:
@@ -152,6 +153,34 @@ class TestFiltersTakeTheOperator:
             assert np.array_equal(got.values, want.values)
 
 
+class TestSchemeArguments:
+    SOLVERS = {
+        "spectral": fr.spectral_reconstruct,
+        "tikhonov": fr.tikhonov_reconstruct,
+        "minimal_l2": lambda op, h, alpha, **kw: fr.minimal_l2_reconstruct(
+            op.machinery, op.sets, h, alpha, **kw),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("scheme", ["spectral", "tikhonov", "minimal_l2"])
+    def test_alpha_must_be_finite_and_positive(self, op_pipeline, rng, scheme, alpha):
+        h = rng.standard_normal(op_pipeline.n_window)
+        with pytest.raises(ValueError, match="alpha"):
+            self.SOLVERS[scheme](op_pipeline, h, alpha)
+
+    @pytest.mark.parametrize("kw", [{"tol": float("nan")}, {"max_iterations": 0}])
+    def test_minimal_l2_tolerance_and_step_cap_checked(self, op_pipeline, rng, kw):
+        h = rng.standard_normal(op_pipeline.n_window)
+        with pytest.raises(ValueError, match="inner_solver_tol"):
+            self.SOLVERS["minimal_l2"](op_pipeline, h, 1e-3, **kw)
+
+    def test_tikhonov_certificate_is_nan_on_nan_data(self, op_pipeline, rng):
+        h = rng.standard_normal(op_pipeline.n_window)
+        h[3] = np.nan
+        _, info = fr.tikhonov_reconstruct(op_pipeline, h, 1e-6)
+        assert np.isnan(info["gradient_certificate"])
+
+
 class TestAdjoint:
     def test_zero(self, op_onesided):
         out = ref.ucp_adjoint(op_onesided, np.zeros(op_onesided.n_window))
@@ -163,7 +192,7 @@ class TestAdjoint:
             v = op_onesided.embed_domain(rng.standard_normal(len(om)))
             hw = rng.standard_normal(op_onesided.n_window)
             lv = op_onesided.apply(v)
-            lhs = fr.hminus_s_inner(mach, lv, hw, op_onesided.window)
+            lhs = fr.hminus_s_inner(mach, lv, hw, op_onesided.sets.w2)
             a = ref.ucp_adjoint(op_onesided, hw)
             rhs = fr.hs_inner(mach, a, v)
             scale = op_onesided.dual_norm(lv) * op_onesided.dual_norm(hw) + 1e-300
@@ -360,7 +389,7 @@ class TestMinimalL2Scheme:
     def test_matches_secular_oracle(self, mach, sets_pipeline, box, rng):
         from fracrec.ucp import _minl2_workspace
 
-        ws = _minl2_workspace(mach, sets_pipeline, sets_pipeline.w2)
+        ws = _minl2_workspace(fr.assemble_ucp(mach, sets_pipeline))
         src = random_omega_bump(box, rng)
         vals = src.values.copy()
         mask = np.ones(box.size, dtype=bool)
@@ -402,7 +431,7 @@ class TestMinimalL2Scheme:
         # space has norm c: no minimizer below alpha = c, an exact one above
         from fracrec.ucp import _minl2_workspace
 
-        ws = _minl2_workspace(mach, sets_pipeline, sets_pipeline.w2)
+        ws = _minl2_workspace(fr.assemble_ucp(mach, sets_pipeline))
         null = ws.eigvals == 0.0
         assert 0 < null.sum() < len(null)
         c = 0.1
@@ -431,7 +460,7 @@ class TestMinimalL2Scheme:
         f = np.zeros(box.size)
         f[sets.w1] = fr.smooth_bump(box, 4.5, 0.45).values[sets.w1]
         f = fr.GridFunction(f, box)
-        ws = _minl2_workspace(m, sets, sets.w2)
+        ws = _minl2_workspace(fr.assemble_ucp(m, sets))
         tol, returned = 1e-10, 0
         for level in (0.0, 1e-4, 1e-2):
             rec = fr.synthetic_measurement(m, sets, q, f, noise_level=level, seed=1)
