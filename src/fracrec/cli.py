@@ -100,8 +100,8 @@ def _intervals(obj: dict, where: str) -> dict:
 
 def parse_problem(doc: dict) -> dict:
     """Validate a problem document and return the normalized configuration;
-    a value of the wrong JSON type, or a size whose footprint estimate
-    overflows, is reported as a ProblemValidationError."""
+    a value of the wrong JSON type, or one that overflows, is reported as a
+    ProblemValidationError."""
     try:
         return _parse_problem(doc)
     except (TypeError, AttributeError, OverflowError) as exc:
@@ -151,7 +151,7 @@ def _parse_problem(doc: dict) -> dict:
     return cfg
 
 
-def footprint_bytes(radius: float, points: int, intervals: list, vectors: int = 64) -> int:
+def footprint_bytes(radius: float, points: int, intervals: list, vectors: int = 64) -> float:
     """Estimated peak bytes of one command on a box with `points` nodes whose
     regions are the union of `intervals`, computed before anything is
     allocated.
@@ -159,21 +159,28 @@ def footprint_bytes(radius: float, points: int, intervals: list, vectors: int = 
     K, the node count of all regions together, follows from the interval
     lengths and the spacing.  Every block a solve gathers is at most K x K,
     and about four of them (index array, values, factor, product) are alive
-    at once; `vectors` full-grid arrays of doubles come on top.
+    at once; `vectors` full-grid arrays of doubles come on top.  The sum is
+    taken in floats, so an extreme size gives inf or NaN, never an error.
     """
     h = 2.0 * radius / points
     k = sum(max(b - a, 0.0) / h + 1.0 for a, b in intervals)
-    return int(8 * (4 * k * k + vectors * points))
+    return 8.0 * (4.0 * k * k + vectors * float(points))
 
 
 def _check_footprint(radius: float, points: int, intervals: list, vectors: int = 64) -> None:
     if radius <= 0 or points <= 0:
         return  # build_box refuses these
     need = footprint_bytes(radius, points, intervals, vectors)
+    budget = f"the {FOOTPRINT_BUDGET_BYTES / 1e9:.1f} GB budget"
+    if not np.isfinite(need):
+        raise ProblemValidationError(
+            f"box.points {points:g} and box.radius {radius:g} give no finite footprint "
+            f"estimate to hold against {budget}"
+        )
     if need > FOOTPRINT_BUDGET_BYTES:
         raise ProblemValidationError(
-            f"{points} points need about {need / 1e9:.1f} GB, over the "
-            f"{FOOTPRINT_BUDGET_BYTES / 1e9:.1f} GB budget; lower the point count"
+            f"{points} points need about {need / 1e9:.1f} GB, over {budget}; "
+            "lower the point count"
         )
 
 
@@ -362,11 +369,11 @@ def _make_datum(cfg: dict, m, sets) -> GridFunction:
     return GridFunction(vals, m.box)
 
 
-def _make_cfg(cfg: dict, h_dual: float | None = None) -> RegularizerConfig:
-    """Materialize the run configuration.  An "auto" schedule stays None
-    (recover_interior derives it from sigma_1); with the "auto" stop rule and
-    noisy data, stop at 1.5x the noise level times h_dual, the data's dual
-    norm."""
+def _make_cfg(cfg: dict, m, sets, rec: MeasurementRecord | None = None) -> RegularizerConfig:
+    """Materialize the run configuration of the problem's scheme block.  An
+    "auto" schedule stays None (recover_interior derives it from sigma_1);
+    with the "auto" stop rule and noisy data, stop at 1.5x the noise level
+    times the dual norm of the step-1 datum of `rec`."""
     sch = cfg["scheme"]
     sched = sch["alpha_schedule"]
     schedule = None if sched == "auto" else np.asarray(sched, dtype=float)
@@ -374,7 +381,8 @@ def _make_cfg(cfg: dict, h_dual: float | None = None) -> RegularizerConfig:
     if stop == "auto":
         lvl = cfg["noise"]["level"]
         stop_rule = ("fixed_list",)
-        if lvl > 0 and h_dual is not None:
+        if lvl > 0 and rec is not None:
+            h_dual = assemble_ucp(m, sets).dual_norm(measurement_to_h(m, sets, rec))
             stop_rule = ("discrepancy", 1.5 * lvl * h_dual)
     elif stop["kind"] == "fixed_list":
         stop_rule = ("fixed_list",)
@@ -425,8 +433,7 @@ def _cmd_reconstruct(args) -> int:
     cfg, m, sets, seed = _setup(args, cfg)
     start = time.monotonic()
     rec = _measurement(cfg, m, sets, seed)
-    h_dual = assemble_ucp(m, sets).dual_norm(measurement_to_h(m, sets, rec))
-    report = full_pipeline(m, sets, rec, _make_cfg(cfg, h_dual), tau=cfg["tau"])
+    report = full_pipeline(m, sets, rec, _make_cfg(cfg, m, sets, rec), tau=cfg["tau"])
     wall = time.monotonic() - start
     _write_json(args.out, cfg, m.box, {
         "seed": seed,
@@ -469,9 +476,10 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_instability(args) -> int:
-    shell = [(-args.R, 1.0 - args.R), (args.R - 1.0, args.R)]
-    # the series keeps 2 * kmax full-grid functions
-    _check_footprint(args.box_radius, args.N, [(-1.0, 1.0)] + shell, 64 + 2 * args.kmax)
+    # omega and the shell's two unit intervals, counted without R, which
+    # make_instability_geometry checks; the series keeps 2 * kmax full-grid functions
+    _check_footprint(args.box_radius, args.N, [(-1.0, 1.0), (0.0, 1.0), (0.0, 1.0)],
+                     64 + 2 * args.kmax)
     m, sets = make_instability_geometry(
         args.R, args.s, box_radius=args.box_radius, points=args.N
     )
@@ -492,7 +500,7 @@ def _cmd_instability(args) -> int:
 def _cmd_stability(args) -> int:
     cfg, m, sets, seed = _setup(args)
     op = assemble_ucp(m, sets)
-    run_cfg = _make_cfg(cfg)
+    run_cfg = _make_cfg(cfg, m, sets)
     if run_cfg.alpha_schedule is None:
         # the sweep must resolve noise floors far below the pipeline default
         schedule = default_alpha_schedule(op.sigmas[0], kmax=48, step=0.25)
@@ -516,9 +524,9 @@ def _cmd_compare(args) -> int:
     if len(set(schemes)) < len(schemes):
         raise ProblemValidationError(f"--schemes names a scheme twice: {args.schemes}")
     cfg, m, sets, seed = _setup(args)
-    schedule = _make_cfg(cfg).alpha_schedule
-    run_cfgs = [RegularizerConfig(scheme=name, alpha_schedule=schedule) for name in schemes]
     rec = _measurement(cfg, m, sets, seed)
+    run_cfg = _make_cfg(cfg, m, sets, rec)
+    run_cfgs = [replace(run_cfg, scheme=name) for name in schemes]
     results = {c.scheme: full_pipeline(m, sets, rec, c, tau=cfg["tau"]) for c in run_cfgs}
     rows = [(name, results[name].mask_fraction, results[name].residuals[-1]["residual_dual"])
             for name in schemes]

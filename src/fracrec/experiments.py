@@ -50,6 +50,9 @@ __all__ = [
     "fit_loglinear",
 ]
 
+# the k range of the decay fit, both ends included
+DECAY_FIT_RANGE = (2, 12)
+
 
 @dataclass
 class InstabilitySeries:
@@ -118,7 +121,7 @@ def make_instability_geometry(
 ) -> tuple[SobolevMachinery, IndexSets]:
     """Box and regions for the decay series: interior (-1,1), window the
     symmetric shell {shell_radius - 1 < |x| < shell_radius}."""
-    if shell_radius < 13.0:
+    if not shell_radius >= 13.0:
         raise ValueError(f"shell radius must be >= 13, got {shell_radius}: the far-field "
                          "expansion needs the window at distance >= 12 from the interior region")
     if box_radius <= shell_radius:
@@ -143,7 +146,6 @@ def instability_series(
     m: SobolevMachinery,
     sets: IndexSets,
     k_max: int = 12,
-    fit_range: tuple[int, int] = (2, 12),
 ) -> InstabilitySeries:
     """Decay series of window traces of oscillatory interior functions.
 
@@ -153,7 +155,7 @@ def instability_series(
     h_k is the fractional Laplacian of v_k restricted to the window (both
     shell components), measured in the dual Sobolev norm.
 
-    The decay fit runs over the k in `fit_range` whose norm exceeds the
+    The decay fit runs over the k in DECAY_FIT_RANGE whose norm exceeds the
     rounding floor eps * ||A e_0|| * ||v_k|| / sqrt(n) per window node
     (A the n x n collocation matrix, ||v_k|| the Euclidean norm of its nodal
     values), measured in the same dual norm.  That is the FFT rounding error
@@ -163,7 +165,7 @@ def instability_series(
 
     Raises ValueError when 2 * k_max reaches the number of omega nodes (the
     moment conditions would leave no function) or when fewer than two k in
-    `fit_range` clear the floor.
+    DECAY_FIT_RANGE clear the floor.
     """
     n_om = len(sets.omega)
     if 2 * k_max >= n_om:
@@ -189,7 +191,7 @@ def instability_series(
     # ||v_k|| = 1/sqrt(h) for every k, so the floor is one number per series
     per_node = np.finfo(float).eps * np.linalg.norm(m.frac_lap.col) / np.sqrt(h * m.box.size)
     floor = per_node * np.linalg.norm(q @ np.ones(len(sets.w2)))
-    lo, hi = fit_range
+    lo, hi = DECAY_FIT_RANGE
     sel = (ks >= lo) & (ks <= hi) & (norms > floor)
     if np.count_nonzero(sel) < 2:
         raise ValueError(

@@ -72,7 +72,6 @@ class IndexSets:
     w1: np.ndarray
     w2: np.ndarray
     exterior: np.ndarray
-    separation_gap: float
 
 
 @dataclass
@@ -274,8 +273,7 @@ def build_index_sets(
             if a < -R or b > R:
                 raise ValueError(f"{name} interval ({a},{b}) leaves the box [-{R},{R}]")
 
-    gap_w1 = _intervals_distance(omega_spec, w1_spec)
-    if gap_w1 <= 0.0:
+    if _intervals_distance(omega_spec, w1_spec) <= 0.0:
         raise ValueError("w1 must have positive distance from omega (closures disjoint)")
     if _intervals_distance(omega_spec, w2_spec) == 0.0:
         # open sets may share a boundary point but must not overlap
@@ -300,7 +298,6 @@ def build_index_sets(
         w1=np.nonzero(w1_mask)[0],
         w2=np.nonzero(w2_mask)[0],
         exterior=exterior,
-        separation_gap=gap_w1,
     )
 
 

@@ -10,9 +10,8 @@ measurement window, the potential is recovered in four steps:
 4. form the pointwise quotient q = -(A u)/u on nodes where u is not
    numerically tiny, masking the rest.
 
-Synthetic measurements can be generated on the same grid, on a 2x finer
-grid (pair-averaged back, avoiding the inverse crime), and with seeded
-additive Gaussian noise.
+Synthetic measurements are generated by a forward solve on the same
+grid, with optional seeded additive Gaussian noise.
 """
 
 from __future__ import annotations
@@ -23,14 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward import Potential, solve_dirichlet
-from .grid import (
-    GridFunction,
-    IndexSets,
-    SobolevMachinery,
-    build_box,
-    build_index_sets,
-    build_sobolev,
-)
+from .grid import GridFunction, IndexSets, SobolevMachinery
 from .ucp import (
     OptimizerNonConvergence,
     RegularizerConfig,
@@ -114,7 +106,6 @@ def recover_interior(
     op: UcpOperator,
     window_vals: np.ndarray,
     cfg: RegularizerConfig,
-    keep_iterates: bool = False,
 ) -> tuple[GridFunction, list]:
     """Step (2): run the selected scheme over the alpha schedule.
 
@@ -126,7 +117,6 @@ def recover_interior(
     from the assembled operator.  The fixed-list rule returns
     the last iterate; ("discrepancy", delta) cuts the trace at the first
     row whose residual is at or below delta and returns that row's iterate.
-    `keep_iterates` adds each row's iterate to it (small problems only).
     """
     if cfg.alpha_schedule is None:
         alphas = default_alpha_schedule(float(op.sigmas[0]))
@@ -139,16 +129,14 @@ def recover_interior(
 
     hits = np.flatnonzero(residuals <= delta) if delta is not None else []
     n = hits[0] + 1 if len(hits) else len(residuals)
-    trace: list = []
-    for k in range(n):
-        row = {
+    trace = [
+        {
             "alpha": float(alphas[k]),
             "residual_dual": float(residuals[k]),
             "penalty_hs": float(penalties[k]),
         }
-        if keep_iterates:
-            row["iterate"] = op.embed_domain(iterates[:, k])
-        trace.append(row)
+        for k in range(n)
+    ]
     return op.embed_domain(iterates[:, n - 1]), trace
 
 
@@ -196,6 +184,13 @@ def full_pipeline(
         raise
     except Exception as exc:  # noqa: BLE001 - step labeling
         raise PipelineError(2, str(exc)) from exc
+    if not np.any(v.values):
+        # f vanishes on omega (step 1), so u = v there and step 4 has no quotient
+        row, stop = trace[-1], cfg.stop_rule
+        fired = stop[0] == "discrepancy" and row["residual_dual"] <= stop[1]
+        why = f", at or below delta {stop[1]:.6g}" if fired else ""
+        raise PipelineError(2, "the recovered interior part is zero at the accepted alpha "
+                               f"{row['alpha']:.6g} (residual {row['residual_dual']:.6g}{why})")
     u = GridFunction(rec.f.values + v.values, m.box)
     try:
         q_vals, mask = quotient_q(m, sets, u, tau)
@@ -216,10 +211,6 @@ def full_pipeline(
     )
 
 
-def _pair_average(vals: np.ndarray) -> np.ndarray:
-    return 0.5 * (vals[0::2] + vals[1::2])
-
-
 def synthetic_measurement(
     m: SobolevMachinery,
     sets: IndexSets,
@@ -227,45 +218,15 @@ def synthetic_measurement(
     f: GridFunction,
     noise_level: float = 0.0,
     seed: int = 0,
-    fine_factor: int = 1,
-    region_specs: tuple | None = None,
-    profile_fns: tuple | None = None,
 ) -> MeasurementRecord:
-    """Generate a measurement record by a forward solve.
-
-    With ``fine_factor == 2`` the forward problem is solved on a grid with
-    twice the resolution and the window data pair-averaged back onto the
-    coarse window nodes; this requires `region_specs` (the interval
-    specifications used to build the index sets) and `profile_fns`, a pair
-    of callables (q_of_x, f_of_x) evaluating the potential on interior
-    nodes and the datum on control-window nodes of the fine grid.
+    """Generate a measurement record by a forward solve on the same grid.
 
     Noise is additive Gaussian on g with standard deviation
     noise_level * max|g|, drawn from a generator seeded by `seed`.
     """
     if not noise_level >= 0:
         raise ValueError("noise level must be >= 0")
-    if fine_factor == 1:
-        g = m.frac_lap.rows(sets.w2, solve_dirichlet(m, sets, q, f).u.values)
-    elif fine_factor == 2:
-        if region_specs is None or profile_fns is None:
-            raise ValueError("fine-grid synthesis needs region_specs and profile_fns")
-        omega_spec, w1_spec, w2_spec = region_specs
-        q_of_x, f_of_x = profile_fns
-        box_f = build_box(m.box.radius, 2 * m.box.points_per_axis)
-        m_f = build_sobolev(box_f, m.order)
-        sets_f = build_index_sets(box_f, omega_spec, w1_spec, w2_spec)
-        q_f = Potential(q_of_x(box_f.nodes[sets_f.omega]))
-        f_vals = np.zeros(box_f.size)
-        f_vals[sets_f.w1] = f_of_x(box_f.nodes[sets_f.w1])
-        sol = solve_dirichlet(m_f, sets_f, q_f, GridFunction(f_vals, box_f))
-        g_fine = m_f.frac_lap.rows(sets_f.w2, sol.u.values)
-        if len(g_fine) != 2 * len(sets.w2):
-            raise ValueError("fine window nodes do not pair-align with the coarse window")
-        g = _pair_average(g_fine)
-    else:
-        raise ValueError("fine_factor must be 1 or 2")
-
+    g = m.frac_lap.rows(sets.w2, solve_dirichlet(m, sets, q, f).u.values)
     if noise_level > 0:
         rng = np.random.default_rng(seed)
         g = g + rng.standard_normal(len(g)) * (noise_level * float(np.abs(g).max()))

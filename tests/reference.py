@@ -2,7 +2,8 @@
 fractional Laplacian product, the singular-integral quadrature oracle, the
 measurement map and energy form of the forward problem, the weighted
 adjoint of the interior-to-window operator, the scalar one-alpha-at-a-time
-minimal-L2 solver, and nearest-neighbor infill of masked quotient nodes."""
+minimal-L2 solver, window data synthesized on a 2x finer grid, and
+nearest-neighbor infill of masked quotient nodes."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from fracrec import (
     FractionalOrder,
     GridFunction,
     IndexSets,
+    MeasurementRecord,
     MinimalL2Result,
     OptimizerNonConvergence,
     Potential,
@@ -21,7 +23,11 @@ from fracrec import (
     SobolevMachinery,
     UcpOperator,
     assemble_ucp,
+    build_box,
+    build_index_sets,
+    build_sobolev,
     solve_dirichlet,
+    synthetic_measurement,
 )
 from fracrec.grid import _check_same_box
 from fracrec.ucp import _minl2_workspace
@@ -251,6 +257,27 @@ def minimal_l2_oracle_iterates(
         if delta is not None and np.linalg.norm(resid) <= delta:
             break
     return np.stack(cols, axis=1)
+
+
+def fine_grid_measurement(
+    m: SobolevMachinery, f: GridFunction, regions, q_of_x, f_of_x
+) -> MeasurementRecord:
+    """Noise-free window data for the datum `f` of the grid of `m`,
+    synthesized on a grid with twice its resolution and pair-averaged back
+    onto its window nodes, so the data carry no inverse crime.
+
+    `regions` are the (omega, w1, w2) interval lists of the coarse
+    index sets; q_of_x and f_of_x evaluate the potential on the interior
+    nodes and the datum on the control-window nodes of the fine grid.
+    """
+    box_f = build_box(m.box.radius, 2 * m.box.points_per_axis)
+    m_f = build_sobolev(box_f, m.order)
+    sets_f = build_index_sets(box_f, *regions)
+    q_f = Potential(q_of_x(box_f.nodes[sets_f.omega]))
+    f_vals = np.zeros(box_f.size)
+    f_vals[sets_f.w1] = f_of_x(box_f.nodes[sets_f.w1])
+    g = synthetic_measurement(m_f, sets_f, q_f, GridFunction(f_vals, box_f)).g
+    return MeasurementRecord(f=f.copy(), g=0.5 * (g[0::2] + g[1::2]))
 
 
 def infill_nearest(

@@ -283,11 +283,7 @@ def test_criterion_07b_pipeline_fine_grid_data(mach, sets_pipeline, op_pipeline,
         gf[inside] = np.exp(1 - 1 / (1 - t[inside] ** 2))
         return gf
 
-    rec = fr.synthetic_measurement(
-        mach, sets_pipeline, q, f, fine_factor=2,
-        region_specs=(OMEGA, W1_PIPELINE, W2_PIPELINE),
-        profile_fns=(q_of, f_of),
-    )
+    rec = ref.fine_grid_measurement(mach, f, (OMEGA, W1_PIPELINE, W2_PIPELINE), q_of, f_of)
     # discrepancy stopping at 1.5x the (known, derived) grid-transfer level
     h = fr.measurement_to_h(mach, sets_pipeline, rec)
     v_true = sol.u.values - f.values

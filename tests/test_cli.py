@@ -45,6 +45,14 @@ def base_problem():
     }
 
 
+def explicit_stop_problem():
+    """The example at noise 1e-3 with a discrepancy delta that its first alpha meets."""
+    doc = base_problem()
+    doc["noise"]["level"] = 1e-3
+    doc["scheme"]["stop_rule"] = {"kind": "discrepancy", "delta": 1e-2}
+    return doc
+
+
 EXAMPLE = Path(__file__).resolve().parents[1] / "problem.example.json"
 
 
@@ -184,6 +192,20 @@ class TestMalformedInput:
         assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+    # the footprint estimate used to end in int(inf) or int(nan)
+    @pytest.mark.parametrize("box, omega, field", [
+        ({"radius": 16.0, "points": 10**300}, [[-1.0, 1.0]], "box.points"),
+        ({"radius": 1e308, "points": 512}, [[-1e308, 1e308]], "box.radius"),
+    ], ids=["points-1e300", "radius-1e308"])
+    def test_unbounded_footprint_exits_1(self, tmp_path, capsys, box, omega, field):
+        doc = base_problem()
+        doc["box"], doc["omega"]["intervals"] = box, omega
+        path = write_problem(tmp_path, doc)
+        assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert field in err[0] and "budget" in err[0]
 
     @pytest.mark.parametrize("scheme, extra", [
         ({"stop_rule": {"kind": "discrepancy", "delta": None}}, []),
@@ -381,6 +403,17 @@ class TestReconstructCommand:
         assert len(err) == 1 and err[0].startswith("error:") and "no minimizer" in err[0]
         assert not out.exists()
 
+    def test_zero_iterate_at_discrepancy_stop_exits_1(self, tmp_path, capsys):
+        # the first alphas of the auto schedule exceed the minimal-L2 data norm, so
+        # their iterates are zero, and their residual already meets delta
+        path = write_problem(tmp_path, explicit_stop_problem())
+        out = tmp_path / "o.json"
+        assert main(["reconstruct", path, str(out), "--scheme", "minimal_l2"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "interior part is zero" in err[0] and "delta" in err[0]
+        assert not out.exists()
+
     def test_child_run_loads_no_scipy(self, tmp_path):
         # the command line path is numpy-only: scipy is a test dependency
         script = (
@@ -511,6 +544,15 @@ class TestInstabilityCommand:
         assert code == EXIT_VALIDATION
         assert "12" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius, want", [("nan", ">= 13"), ("inf", "box radius")],
+                             ids=["nan", "inf"])
+    def test_non_finite_radius_exits_1(self, tmp_path, capsys, radius, want):
+        out = tmp_path / "i.csv"
+        assert main(["instability", str(out), "--R", radius]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and want in err[0]
+        assert not out.exists()
+
     def test_default_run_meets_bound_and_records_fit(self, tmp_path):
         csvs = []
         for name in ("a.csv", "b.csv"):
@@ -584,6 +626,35 @@ class TestCompareCommand:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("scheme,")
         assert any(l.startswith("# cross_distance_rel") for l in lines)
+
+    @pytest.mark.parametrize("doc, schemes", [
+        (base_problem(), "spectral,tikhonov,minimal_l2"),
+        (explicit_stop_problem(), "spectral,tikhonov"),
+    ], ids=["example", "explicit-stop"])
+    def test_rows_match_reconstruct(self, tmp_path, doc, schemes):
+        # each row is the run `reconstruct --scheme <name>` makes, stop rule included
+        path = write_problem(tmp_path, doc)
+        out = tmp_path / "cmp.csv"
+        assert main(["compare", path, str(out), "--schemes", schemes]) == EXIT_OK
+        rows = [l.split(",") for l in out.read_text().splitlines()[1:] if not l.startswith("#")]
+        assert [row[0] for row in rows] == schemes.split(",")
+        for name, mask_fraction, final_residual in rows:
+            rep_path = tmp_path / f"{name}.json"
+            assert main(["reconstruct", path, str(rep_path), "--scheme", name,
+                         "--quiet"]) == EXIT_OK
+            rep = json.loads(rep_path.read_text())
+            assert mask_fraction == rep["mask_fraction"]
+            assert final_residual == rep["trace"][-1]["residual_dual"]
+
+    def test_zero_iterate_row_exits_1(self, tmp_path, capsys):
+        path = write_problem(tmp_path, explicit_stop_problem())
+        out = tmp_path / "c.csv"
+        code = main(["compare", path, str(out), "--schemes", "spectral,minimal_l2"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "interior part is zero" in err[0] and "delta" in err[0]
+        assert not out.exists()
 
     def test_unknown_scheme_exits_1(self, tmp_path):
         path = write_problem(tmp_path, base_problem())

@@ -102,13 +102,14 @@ class TestInstabilitySeries:
         assert np.all(series.hk_norms[kept] > fit["floor"])
         assert np.all(series.hk_norms[(ks >= 2) & ~kept] <= fit["floor"])
 
-    def test_infeasible_series_raises(self):
+    def test_infeasible_series_raises(self, monkeypatch):
         m, sets = fr.make_instability_geometry(13.0, 0.5, points=512)
         with pytest.raises(ValueError, match="interior nodes"):
             fr.instability_series(m, sets, k_max=12)
         m, sets = fr.make_instability_geometry(13.0, 0.5)
+        monkeypatch.setattr(fr.experiments, "DECAY_FIT_RANGE", (10, 12))
         with pytest.raises(ValueError, match="rounding floor"):
-            fr.instability_series(m, sets, k_max=12, fit_range=(10, 12))
+            fr.instability_series(m, sets, k_max=12)
 
     def test_scaled_norms_bounded_constant_reported(self, shell13):
         # max_k ||h_k|| 2^k is finite and reported per run

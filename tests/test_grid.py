@@ -46,13 +46,15 @@ class TestIndexSets:
         assert len(np.intersect1d(sets_classic.omega, sets_classic.w2)) == 0
         assert np.isin(sets_classic.w1, sets_classic.exterior).all()
         assert np.isin(sets_classic.w2, sets_classic.exterior).all()
-        assert sets_classic.separation_gap >= 1.0
         union = np.union1d(sets_classic.omega, sets_classic.exterior)
         assert np.array_equal(union, np.arange(box.size))
 
     def test_overlap_rejected(self, box):
         with pytest.raises(ValueError):
             fr.build_index_sets(box, [(-1, 1)], [(0.5, 2)], [(-3, -2)])
+        # w1's closure touching omega's is refused as well
+        with pytest.raises(ValueError, match="positive distance"):
+            fr.build_index_sets(box, [(-1, 1)], [(1.0, 2.0)], [(-3, -2)])
 
     def test_w1_equal_w2_far_shell_allowed(self, box):
         sets = fr.build_index_sets(box, [(-1, 1)], [(12, 13)], [(12, 13)])

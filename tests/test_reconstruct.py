@@ -100,10 +100,12 @@ class TestRecoverInterior:
         v_true = fr.GridFunction(sol.u.values - f.values, box)
         base = fr.hs_norm(mach, v_true)
         cfg = deep_tikhonov(op_pipeline)
-        _, trace = fr.recover_interior(op_pipeline, h, cfg, keep_iterates=True)
+        _, trace = fr.recover_interior(op_pipeline, h, cfg)
+        iterates = fr.solve_schedule(op_pipeline, h, cfg, cfg.alpha_schedule)[:, :len(trace)]
         errs = [
-            fr.hs_norm(mach, fr.GridFunction(r["iterate"].values - v_true.values, box)) / base
-            for r in trace
+            fr.hs_norm(mach, fr.GridFunction(v_true.values - op_pipeline.embed_domain(c).values, box))
+            / base
+            for c in iterates.T
         ]
         assert min(errs) <= 5e-2
 
@@ -233,10 +235,13 @@ class TestTraceRowNorms:
         w2 = sets_pipeline.w2
         for scheme, alphas in schedules.items():
             cfg = fr.RegularizerConfig(scheme=scheme, alpha_schedule=alphas)
-            _, trace = fr.recover_interior(op_pipeline, h, cfg, keep_iterates=True)
+            _, trace = fr.recover_interior(op_pipeline, h, cfg)
             assert len(trace) == (13 if alphas is None else len(alphas))
-            for row in trace:
-                v = row["iterate"]
+            if alphas is None:
+                alphas = fr.default_alpha_schedule(float(op_pipeline.sigmas[0]))
+            iterates = fr.solve_schedule(op_pipeline, h, cfg, alphas)[:, :len(trace)]
+            for row, col in zip(trace, iterates.T):
+                v = op_pipeline.embed_domain(col)
                 assert row["penalty_hs"] == pytest.approx(fr.hs_norm(mach, v), rel=1e-10)
                 rvals = np.zeros(box.size)
                 rvals[w2] = op_pipeline.apply(v) - h
@@ -321,11 +326,11 @@ class TestMinimalL2ScheduleOracle:
         if alphas is None:
             alphas = fr.default_alpha_schedule(float(op.sigmas[0]))
         want = ref.minimal_l2_oracle_iterates(op, h, cfg, alphas)
-        _, trace = fr.recover_interior(op, h, cfg, keep_iterates=True)
+        _, trace = fr.recover_interior(op, h, cfg)
         assert len(trace) == want.shape[1]
-        for row, col in zip(trace, want.T):
-            got = row["iterate"].values[op.sets.omega]
-            assert np.linalg.norm(got - col) <= 1e-12 * np.linalg.norm(col)
+        got = fr.solve_schedule(op, h, cfg, alphas)[:, :len(trace)]
+        for got_col, col in zip(got.T, want.T):
+            assert np.linalg.norm(got_col - col) <= 1e-12 * np.linalg.norm(col)
         return trace, alphas
 
     def test_exact_data_full_auto_schedule(self, mach, sets_pipeline, op_pipeline, ground_truth):
@@ -367,8 +372,9 @@ class TestMinimalL2ScheduleOracle:
         )
         trace, _ = self.agree(op_pipeline, h, cfg)
         assert len(trace) == 4
-        assert not np.any(trace[0]["iterate"].values) and not np.any(trace[1]["iterate"].values)
-        assert np.any(trace[2]["iterate"].values)
+        cols = fr.solve_schedule(op_pipeline, h, cfg, cfg.alpha_schedule)[:, :len(trace)]
+        assert not np.any(cols[:, 0]) and not np.any(cols[:, 1])
+        assert np.any(cols[:, 2])
 
     def test_first_alpha_at_null_norm_raises(self, mach, sets_pipeline, op_pipeline, ground_truth):
         h, _, null = self.data(mach, sets_pipeline, ground_truth, 1e-2)
@@ -575,18 +581,10 @@ class TestFineGridSynthesis:
         q = pipeline_potential(box, sets_pipeline)
         f = pipeline_datum(box, sets_pipeline)
         rec_c = fr.synthetic_measurement(mach, sets_pipeline, q, f)
-        rec_f = fr.synthetic_measurement(
-            mach, sets_pipeline, q, f, fine_factor=2,
-            region_specs=(OMEGA, W1_PIPELINE, W2_PIPELINE),
-            profile_fns=(q_of_x, f_of_x),
+        rec_f = ref.fine_grid_measurement(
+            mach, f, (OMEGA, W1_PIPELINE, W2_PIPELINE), q_of_x, f_of_x
         )
         assert rec_f.g.shape == rec_c.g.shape
         # the two syntheses agree to a few percent but not exactly
         rel = np.abs(rec_f.g - rec_c.g).max() / np.abs(rec_c.g).max()
         assert 1e-8 < rel < 0.1
-
-    def test_unsupported_factor(self, mach, sets_pipeline, box):
-        q = pipeline_potential(box, sets_pipeline)
-        f = pipeline_datum(box, sets_pipeline)
-        with pytest.raises(ValueError, match="fine_factor"):
-            fr.synthetic_measurement(mach, sets_pipeline, q, f, fine_factor=3)
