@@ -193,7 +193,7 @@ def _number(v, where: str, integer: bool = False):
     """`v` checked to be a finite JSON number, or an integer if `integer`;
     a number comes back as a float, an integer as is."""
     if not (_is_number(v) and (isinstance(v, int) or not integer)):
-        what = "an integer" if integer else "a finite number"
+        what = "an integer within the float range" if integer else "a finite number"
         raise ProblemValidationError(f"{where} must be {what}")
     return v if integer else float(v)
 
@@ -382,8 +382,11 @@ def _make_cfg(cfg: dict, m, sets, rec: MeasurementRecord | None = None) -> Regul
         lvl = cfg["noise"]["level"]
         stop_rule = ("fixed_list",)
         if lvl > 0 and rec is not None:
-            h_dual = assemble_ucp(m, sets).dual_norm(measurement_to_h(m, sets, rec))
-            stop_rule = ("discrepancy", 1.5 * lvl * h_dual)
+            with np.errstate(over="ignore"):
+                delta = 1.5 * lvl * assemble_ucp(m, sets).dual_norm(measurement_to_h(m, sets, rec))
+            if not np.isfinite(delta):
+                raise ProblemValidationError(f"noise.level {lvl:g} gives no finite discrepancy level")
+            stop_rule = ("discrepancy", delta)
     elif stop["kind"] == "fixed_list":
         stop_rule = ("fixed_list",)
     else:
@@ -476,6 +479,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_instability(args) -> int:
+    _number(args.N, "--N", integer=True)
+    _number(args.kmax, "--kmax", integer=True)
     # omega and the shell's two unit intervals, counted without R, which
     # make_instability_geometry checks; the series keeps 2 * kmax full-grid functions
     _check_footprint(args.box_radius, args.N, [(-1.0, 1.0), (0.0, 1.0), (0.0, 1.0)],

@@ -159,10 +159,10 @@ class SobolevMachinery:
     frac_lap is the symmetric PSD collocation matrix of the fractional
     Laplacian; gram_hs the SPD Gram matrix of the inhomogeneous Sobolev
     inner product; both are `Circulant`s holding one column each.  The
-    quadrature weight is the box spacing h at every node.  `cached` keeps
-    what is built once per (omega, w2) pair under a lock: the arrays of the
-    interior-to-window operator and the minimal-L2 workspace made from them.
-    Gram factors are not kept: the operator's build factors both regions.
+    quadrature weight is the box spacing h at every node.  `cached` keeps,
+    under a lock, one read-only interior-to-window operator per (omega, w2)
+    pair, which keeps its SVD and minimal-L2 workspace.  Gram factors are
+    not kept: the operator's build factors both regions.
     """
 
     box: SimulationBox
@@ -225,8 +225,8 @@ def build_box(radius: float, points: int) -> SimulationBox:
 
     `points` must be a power of two (>= 64) for transform efficiency.
     """
-    if radius <= 0:
-        raise ValueError(f"box radius must be positive, got {radius}")
+    if not 0.0 < 2.0 * float(radius) < np.inf:
+        raise ValueError(f"box radius must be positive with a finite width 2 R, got {radius}")
     if not _is_power_of_two(points) or points < 64:
         raise ValueError(f"points per axis must be a power of two >= 64, got {points}")
     return SimulationBox(float(radius), int(points))

@@ -8,10 +8,11 @@ range the dual Sobolev inner product on W, so the singular value
 decomposition is computed for the congruence-transformed matrix
 Q B R^{-1} = U diag(sigma) V^T, where G_omega = R^T R and the dual Gram on
 W equals Q^T Q; R = L^T and Q = h L_W^{-1} come from the Gram factors of
-omega and W.  The machinery keeps B, R, R^{-1}, Q and Q B R^{-1} read-only
-per (omega, W); each operator computes its own SVD factors on first use
-and keeps them, and the singular values, the numerical rank and the modes
-are read from the operator.
+omega and W.  The machinery keeps one read-only operator per (omega, W)
+holding B, R, R^{-1}, Q and Q B R^{-1}; it computes its SVD factors, its
+modes and its minimal-L2 workspace on first use and keeps them, so each
+is formed once per geometry, and the singular values, the numerical rank
+and the modes are read from the operator.
 
 solve_schedule runs any of the three inversion schemes over a whole alpha
 schedule and returns its K iterates as the columns of one matrix:
@@ -29,8 +30,8 @@ schedule and returns its K iterates as the columns of one matrix:
   optimal control into the interior reconstruction, which carries an
   alpha-level residual certificate.  The gains 1 / (d + mu_k) differ per
   alpha only through mu_k, so one vectorized bisection finds every mu_k
-  of a schedule.  Its workspace reads the window's coupling block B^T and
-  Gram factor Q from the operator, so W is gathered and factored once.
+  of a schedule.  Its workspace is the operator's: it reads the window's
+  coupling block B^T and Gram factor Q, so W is gathered and factored once.
 """
 
 from __future__ import annotations
@@ -74,10 +75,15 @@ class OptimizerNonConvergence(RuntimeError):
     formed Hessian exceeds alpha (1 + tol), or the bisection cap was hit."""
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class UcpOperator:
-    """Dense realization of the interior-to-window map with its shared
-    weighted geometry and, formed on first read, its own weighted SVD."""
+    """Dense realization of the interior-to-window map with its weighted
+    geometry and, formed on first read, its SVD and minimal-L2 workspace."""
 
     matrix: np.ndarray            # |W| x |omega|, rows are the w2 nodes
     sets: IndexSets
@@ -97,14 +103,14 @@ class UcpOperator:
 
     @cached_property
     def svd_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD (U, sigma, V^T) of `weighted`, sigma descending.
+        """Thin SVD (U, sigma, V^T) of `weighted`, sigma descending, as
+        read-only arrays computed on first use."""
+        return tuple(_read_only(a) for a in np.linalg.svd(self.weighted, full_matrices=False))
 
-        Computed on first use; every caller shares the read-only arrays.
-        """
-        factors = tuple(np.linalg.svd(self.weighted, full_matrices=False))
-        for a in factors:
-            a.flags.writeable = False
-        return factors
+    @cached_property
+    def minimal_l2_workspace(self) -> _MinimalL2Workspace:
+        """The control problem's matrices on this (omega, w2), built on first use."""
+        return _MinimalL2Workspace(self)
 
     def embed_domain(self, v_omega: np.ndarray) -> GridFunction:
         out = np.zeros(self.machinery.box.size)
@@ -132,12 +138,12 @@ class UcpOperator:
     @cached_property
     def domain_modes(self) -> np.ndarray:
         """|omega| x r modes R^{-1} V, orthonormal in G_omega."""
-        return self.domain_chol_inv @ self.svd_factors[2].T
+        return _read_only(self.domain_chol_inv @ self.svd_factors[2].T)
 
     @cached_property
     def range_modes(self) -> np.ndarray:
         """|W| x r modes Q^{-1} U, orthonormal in the dual Gram."""
-        return np.linalg.solve(self.range_weight, self.svd_factors[0])
+        return _read_only(np.linalg.solve(self.range_weight, self.svd_factors[0]))
 
     def range_coefficients(self, window_vals: np.ndarray) -> np.ndarray:
         """Dual inner products of `window_vals` with every range mode."""
@@ -183,17 +189,22 @@ def default_alpha_schedule(sigma1: float, kmax: int = 12, step: float = 0.5) -> 
 
 
 def assemble_ucp(m: SobolevMachinery, sets: IndexSets) -> UcpOperator:
-    """The dense omega-to-w2 operator with its weighted geometry.  Every
-    call on one (omega, w2) shares the same read-only arrays but not the SVD."""
+    """The dense omega-to-w2 operator with its weighted geometry: one
+    read-only operator per (omega, w2), kept on the machinery, so every
+    call on that geometry returns the same operator and its SVD.
+
+    The operator keeps the IndexSets of its first caller.  Only omega, w2
+    and exterior are read through `op.sets`, and the key fixes all three;
+    w1 is never read through it.
+    """
     if len(sets.omega) == 0 or len(sets.w2) == 0:
         raise ValueError("omega and the window must be nonempty")
     key = ("ucp", sets.omega.tobytes(), sets.w2.tobytes())
-    arrays = m.cached(key, lambda: _operator_arrays(m, sets))
-    return UcpOperator(sets=sets, machinery=m, **arrays)
+    return m.cached(key, lambda: _build_operator(m, sets))
 
 
-def _operator_arrays(m: SobolevMachinery, sets: IndexSets) -> dict:
-    """The read-only UcpOperator fields that depend on (omega, w2) alone."""
+def _build_operator(m: SobolevMachinery, sets: IndexSets) -> UcpOperator:
+    """The operator on (omega, w2) with its arrays marked read-only."""
     matrix = m.frac_lap[np.ix_(sets.w2, sets.omega)]
     chol, chol_inv = m.gram_factor(sets.omega)
     # R^-1 in C order: the layout picks the BLAS kernel, hence the rounding,
@@ -202,9 +213,8 @@ def _operator_arrays(m: SobolevMachinery, sets: IndexSets) -> dict:
     q = m.dual_weight(sets.w2)
     arrays = {"matrix": matrix, "domain_chol": chol.T, "domain_chol_inv": r_inv,
               "range_weight": q, "weighted": q @ matrix @ r_inv}
-    for a in arrays.values():
-        a.flags.writeable = False
-    return arrays
+    return UcpOperator(sets=sets, machinery=m,
+                       **{k: _read_only(a) for k, a in arrays.items()})
 
 
 def ucp_svd(op: UcpOperator) -> UcpOperator:
@@ -229,7 +239,7 @@ def solve_schedule(
     """
     window_vals = np.asarray(window_vals, dtype=float)
     if cfg.scheme == "minimal_l2":
-        ws = _minl2_workspace(op)
+        ws = op.minimal_l2_workspace
         tol, cap = cfg.inner_solver_tol, cfg.max_inner_iterations
         return ws.phi_map @ _minimal_l2_solve(ws, window_vals, alphas, tol, cap)[0]
     u, sig, vt = op.svd_factors
@@ -328,12 +338,6 @@ class _MinimalL2Workspace:
         return self.spacing * (self.chol_inv.T @ np.asarray(window_vals))
 
 
-def _minl2_workspace(op: UcpOperator) -> _MinimalL2Workspace:
-    """The machinery's cached workspace for the operator's (omega, w2)."""
-    key = ("minimal_l2", op.sets.omega.tobytes(), op.sets.w2.tobytes())
-    return op.machinery.cached(key, lambda: _MinimalL2Workspace(op))
-
-
 def _minimal_l2_solve(
     ws: _MinimalL2Workspace, window_vals: np.ndarray, alphas, tol: float, max_iterations: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -425,7 +429,7 @@ def minimal_l2_reconstruct(
     """
     cfg = RegularizerConfig(scheme="minimal_l2", alpha_schedule=[alpha],
                             inner_solver_tol=tol, max_inner_iterations=max_iterations)
-    ws = _minl2_workspace(assemble_ucp(m, sets))
+    ws = assemble_ucp(m, sets).minimal_l2_workspace
     ys, residuals, steps = _minimal_l2_solve(ws, window_vals, [alpha], tol, max_iterations)
     y, f_w = ys[:, 0], ws.chol_inv @ ys[:, 0]
     f_full, phi_full = np.zeros(m.box.size), np.zeros(m.box.size)

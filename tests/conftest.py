@@ -88,3 +88,16 @@ def cholesky_calls(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "cholesky", counting)
     return calls
+
+
+@pytest.fixture()
+def svd_calls(monkeypatch):
+    """The shapes of the matrices np.linalg.svd decomposes during the test."""
+    calls, real = [], np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls

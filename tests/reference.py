@@ -30,7 +30,6 @@ from fracrec import (
     synthetic_measurement,
 )
 from fracrec.grid import _check_same_box
-from fracrec.ucp import _minl2_workspace
 
 
 def fraclap_apply(m: SobolevMachinery, u: GridFunction) -> GridFunction:
@@ -175,7 +174,7 @@ def minimal_l2_oracle(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     w = sets.w2
-    ws = _minl2_workspace(assemble_ucp(m, sets))
+    ws = assemble_ucp(m, sets).minimal_l2_workspace
     b = ws.data_vector(window_vals)
     d, beta = ws.eigvals, ws.eigvecs.T @ b
     nb, null = float(np.linalg.norm(b)), float(np.linalg.norm(beta[d == 0.0]))

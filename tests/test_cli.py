@@ -207,6 +207,22 @@ class TestMalformedInput:
         assert len(err) == 1 and err[0].startswith("error:")
         assert field in err[0] and "budget" in err[0]
 
+    # each used to print a numpy RuntimeWarning before its error line
+    @pytest.mark.parametrize("key, value, want", [
+        ("radius", 1e308, "box radius"), ("level", 1e300, "noise.level"),
+    ], ids=["box.radius-1e308", "noise.level-1e300"])
+    def test_overflowing_value_prints_one_line(self, tmp_path, key, value, want):
+        doc = base_problem()
+        doc["box" if key == "radius" else "noise"][key] = value
+        path = write_problem(tmp_path, doc)
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracrec.cli", "reconstruct", path, str(tmp_path / "o.json")],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_VALIDATION
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and want in err[0]
+
     @pytest.mark.parametrize("scheme, extra", [
         ({"stop_rule": {"kind": "discrepancy", "delta": None}}, []),
         ({"stop_rule": {"kind": "discrepancy", "delta": [1]}}, []),
@@ -553,6 +569,15 @@ class TestInstabilityCommand:
         assert len(err) == 1 and err[0].startswith("error:") and want in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--N", "--kmax"])
+    def test_integer_past_float_range_exits_1(self, tmp_path, capsys, flag):
+        # argparse's int took it, and the footprint estimate raised OverflowError
+        out = tmp_path / "i.csv"
+        assert main(["instability", str(out), "--R", "13", flag, "1" + "0" * 400]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and flag in err[0]
+        assert not out.exists()
+
     def test_default_run_meets_bound_and_records_fit(self, tmp_path):
         csvs = []
         for name in ("a.csv", "b.csv"):
@@ -645,6 +670,13 @@ class TestCompareCommand:
             rep = json.loads(rep_path.read_text())
             assert mask_fraction == rep["mask_fraction"]
             assert final_residual == rep["trace"][-1]["residual_dual"]
+
+    def test_three_schemes_share_one_svd(self, tmp_path, svd_calls):
+        path = write_problem(tmp_path, base_problem())
+        out = tmp_path / "cmp.csv"
+        schemes = "spectral,tikhonov,minimal_l2"
+        assert main(["compare", path, str(out), "--schemes", schemes]) == EXIT_OK
+        assert len(svd_calls) == 1
 
     def test_zero_iterate_row_exits_1(self, tmp_path, capsys):
         path = write_problem(tmp_path, explicit_stop_problem())

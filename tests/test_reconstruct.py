@@ -5,7 +5,6 @@ import pytest
 import scipy.linalg as sla
 
 import fracrec as fr
-from fracrec.ucp import _minl2_workspace
 
 from conftest import OMEGA, W1_PIPELINE, W2_PIPELINE, random_omega_bump
 import reference as ref
@@ -158,7 +157,7 @@ class TestRecoverInterior:
         rec = fr.synthetic_measurement(mach, sets_pipeline, q, f)
         h = fr.measurement_to_h(mach, sets_pipeline, rec)
         h_noisy = h * (1.0 + 0.02 * rng.standard_normal(len(h)))
-        ws = _minl2_workspace(fr.assemble_ucp(mach, sets_pipeline))
+        ws = fr.assemble_ucp(mach, sets_pipeline).minimal_l2_workspace
         for vals, scales in ((h, (1e-2, 1e-4)), (h_noisy, (1e-2,))):
             b = ws.data_vector(vals)
             for scale in scales:
@@ -174,7 +173,7 @@ class TestRecoverInterior:
         # noisy data has a sizeable null-space component; every alpha either
         # has no minimizer or returns a point within the residual certificate
         q, f, _ = ground_truth
-        ws = _minl2_workspace(fr.assemble_ucp(mach, sets_pipeline))
+        ws = fr.assemble_ucp(mach, sets_pipeline).minimal_l2_workspace
         for level in (1e-4, 1e-2):
             rec = fr.synthetic_measurement(mach, sets_pipeline, q, f, noise_level=level, seed=3)
             h = fr.measurement_to_h(mach, sets_pipeline, rec)
@@ -315,7 +314,7 @@ class TestMinimalL2ScheduleOracle:
         q, f, _ = ground_truth
         rec = fr.synthetic_measurement(mach, sets, q, f, noise_level=noise, seed=2)
         h = fr.measurement_to_h(mach, sets, rec)
-        ws = _minl2_workspace(fr.assemble_ucp(mach, sets))
+        ws = fr.assemble_ucp(mach, sets).minimal_l2_workspace
         b = ws.data_vector(h)
         beta = ws.eigvecs.T @ b
         return h, float(np.linalg.norm(b)), float(np.linalg.norm(beta[ws.eigvals == 0.0]))
@@ -447,6 +446,29 @@ class TestQuotient:
 
 
 class TestFullPipeline:
+    def test_one_operator_and_svd_per_geometry(self, box, mach, sets_pipeline, ground_truth,
+                                               svd_calls):
+        q, f, _ = ground_truth
+        m = fr.build_sobolev(box, mach.order)
+        for seed, scheme in enumerate(fr.ucp.SCHEMES * 2):
+            rec = fr.synthetic_measurement(m, sets_pipeline, q, f, noise_level=1e-4, seed=seed)
+            fr.full_pipeline(m, sets_pipeline, rec, fr.RegularizerConfig(scheme=scheme))
+        op = fr.assemble_ucp(m, sets_pipeline)
+        assert svd_calls == [op.weighted.shape]
+        assert list(m.cache) == [("ucp", sets_pipeline.omega.tobytes(), sets_pipeline.w2.tobytes())]
+        assert not any(a.flags.writeable for a in (op.domain_modes, op.range_modes))
+
+    def test_sets_differing_in_w1_share_the_operator(self, box, mach, sets_pipeline, ground_truth):
+        # the operator keeps its first caller's sets; w1 is never read through them
+        other = fr.build_index_sets(box, OMEGA, [(3.5, 5.0)], W2_PIPELINE)
+        m = fr.build_sobolev(box, mach.order)
+        assert fr.assemble_ucp(m, sets_pipeline) is fr.assemble_ucp(m, other)
+        rec = fr.synthetic_measurement(m, other, ground_truth[0], pipeline_datum(box, other))
+        cfg = fr.RegularizerConfig(scheme="tikhonov")
+        want = fr.full_pipeline(fr.build_sobolev(box, mach.order), other, rec, cfg).q_rec
+        for sets in (other, sets_pipeline):
+            assert np.array_equal(fr.full_pipeline(m, sets, rec, cfg).q_rec, want)
+
     def test_zero_potential_recovery(self, mach, sets_pipeline, op_pipeline, box):
         q0 = fr.Potential(np.zeros(len(sets_pipeline.omega)))
         f = pipeline_datum(box, sets_pipeline)

@@ -105,10 +105,13 @@ class TestWeightedSvd:
 
 
 class TestSharedSvdFactors:
-    def test_concurrent_first_use_matches_serial(self, mach, sets_pipeline, rng):
+    def test_concurrent_first_use_matches_serial(self, box, mach, sets_pipeline, rng):
+        # each machinery keeps one operator, so a fresh one gives a first use
         h = rng.standard_normal(len(sets_pipeline.w2))
-        want = fr.tikhonov_reconstruct(fr.assemble_ucp(mach, sets_pipeline), h, 1e-6)[0]
-        op = fr.assemble_ucp(mach, sets_pipeline)
+        serial = fr.assemble_ucp(fr.build_sobolev(box, mach.order), sets_pipeline)
+        want = fr.tikhonov_reconstruct(serial, h, 1e-6)[0]
+        op = fr.assemble_ucp(fr.build_sobolev(box, mach.order), sets_pipeline)
+        assert op is not serial and "svd_factors" not in vars(op)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -128,11 +131,11 @@ class TestOperatorArraysCache:
     ):
         m = fr.build_sobolev(box, mach.order)
         a, b = fr.assemble_ucp(m, sets_pipeline), fr.assemble_ucp(m, sets_pipeline)
-        assert a is not b
+        assert a is b
         for name in ("matrix", "domain_chol", "domain_chol_inv", "range_weight", "weighted"):
             assert getattr(a, name) is getattr(b, name)
             assert not getattr(a, name).flags.writeable
-        assert a.svd_factors is not b.svd_factors
+        assert a.svd_factors is b.svd_factors
         assert all(np.array_equal(x, y) for x, y in zip(a.svd_factors, b.svd_factors))
         n_om, n_w = len(sets_pipeline.omega), len(sets_pipeline.w2)
         assert cholesky_calls == [(n_om, n_om), (n_w, n_w)]
@@ -387,9 +390,7 @@ class TestMinimalL2Scheme:
             assert abs(res.j_value + half_u) <= 1e-6 * max(half_u, 1e-300)
 
     def test_matches_secular_oracle(self, mach, sets_pipeline, box, rng):
-        from fracrec.ucp import _minl2_workspace
-
-        ws = _minl2_workspace(fr.assemble_ucp(mach, sets_pipeline))
+        ws = fr.assemble_ucp(mach, sets_pipeline).minimal_l2_workspace
         src = random_omega_bump(box, rng)
         vals = src.values.copy()
         mask = np.ones(box.size, dtype=bool)
@@ -429,9 +430,7 @@ class TestMinimalL2Scheme:
     def test_null_component_decides_existence(self, mach, sets_pipeline):
         # a datum whose component in the control Hessian's numerical null
         # space has norm c: no minimizer below alpha = c, an exact one above
-        from fracrec.ucp import _minl2_workspace
-
-        ws = _minl2_workspace(fr.assemble_ucp(mach, sets_pipeline))
+        ws = fr.assemble_ucp(mach, sets_pipeline).minimal_l2_workspace
         null = ws.eigvals == 0.0
         assert 0 < null.sum() < len(null)
         c = 0.1
@@ -451,8 +450,6 @@ class TestMinimalL2Scheme:
         # with null/alpha in 0.6-0.99 the zeroed Hessian modes still act on the
         # large null components of y in the formed residual ||S y - b||: the
         # solve must raise rather than return a point above alpha (1 + tol)
-        from fracrec.ucp import _minl2_workspace
-
         box = fr.build_box(16.0, 256)
         m = fr.build_sobolev(box, fr.FractionalOrder(0.5))
         sets = fr.build_index_sets(box, OMEGA, W1_PIPELINE, W2_PIPELINE)
@@ -460,7 +457,7 @@ class TestMinimalL2Scheme:
         f = np.zeros(box.size)
         f[sets.w1] = fr.smooth_bump(box, 4.5, 0.45).values[sets.w1]
         f = fr.GridFunction(f, box)
-        ws = _minl2_workspace(fr.assemble_ucp(m, sets))
+        ws = fr.assemble_ucp(m, sets).minimal_l2_workspace
         tol, returned = 1e-10, 0
         for level in (0.0, 1e-4, 1e-2):
             rec = fr.synthetic_measurement(m, sets, q, f, noise_level=level, seed=1)
