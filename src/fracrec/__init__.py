@@ -21,7 +21,6 @@ from .grid import (
     build_box,
     build_index_sets,
     build_sobolev,
-    hminus_s_inner,
     hminus_s_norm,
     hs_inner,
     hs_norm,

@@ -373,23 +373,24 @@ def _make_cfg(cfg: dict, m, sets, rec: MeasurementRecord | None = None) -> Regul
     """Materialize the run configuration of the problem's scheme block.  An
     "auto" schedule stays None (recover_interior derives it from sigma_1);
     with the "auto" stop rule and noisy data, stop at 1.5x the noise level
-    times the dual norm of the step-1 datum of `rec`."""
+    times the dual norm of the step-1 datum of `rec`.  Noisy data whose dual
+    norm overflows are refused under every stop rule."""
     sch = cfg["scheme"]
     sched = sch["alpha_schedule"]
     schedule = None if sched == "auto" else np.asarray(sched, dtype=float)
-    stop = sch["stop_rule"]
-    if stop == "auto":
-        lvl = cfg["noise"]["level"]
-        stop_rule = ("fixed_list",)
-        if lvl > 0 and rec is not None:
-            with np.errstate(over="ignore"):
-                delta = 1.5 * lvl * assemble_ucp(m, sets).dual_norm(measurement_to_h(m, sets, rec))
+    stop, lvl = sch["stop_rule"], cfg["noise"]["level"]
+    stop_rule = ("fixed_list",)
+    if lvl > 0 and rec is not None:
+        with np.errstate(over="ignore"):
+            h_dual = assemble_ucp(m, sets).dual_norm(measurement_to_h(m, sets, rec))
+            delta = 1.5 * lvl * h_dual
+        if not np.isfinite(h_dual):
+            raise ProblemValidationError(f"noise.level {lvl:g} gives data with no finite dual norm")
+        if stop == "auto":
             if not np.isfinite(delta):
                 raise ProblemValidationError(f"noise.level {lvl:g} gives no finite discrepancy level")
             stop_rule = ("discrepancy", delta)
-    elif stop["kind"] == "fixed_list":
-        stop_rule = ("fixed_list",)
-    else:
+    if stop != "auto" and stop["kind"] == "discrepancy":
         stop_rule = ("discrepancy", float(stop["delta"]))
     return RegularizerConfig(scheme=sch["name"], alpha_schedule=schedule, stop_rule=stop_rule)
 

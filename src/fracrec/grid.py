@@ -32,7 +32,6 @@ __all__ = [
     "hs_norm",
     "l2_norm",
     "hminus_s_norm",
-    "hminus_s_inner",
     "smooth_bump",
 ]
 
@@ -350,14 +349,6 @@ def hminus_s_norm(m: SobolevMachinery, hfun: GridFunction, region: np.ndarray) -
     if len(region) == 0:
         raise ValueError("empty region")
     return float(np.linalg.norm(m.dual_weight(region) @ hfun.values[region]))
-
-
-def hminus_s_inner(
-    m: SobolevMachinery, h1: np.ndarray, h2: np.ndarray, region: np.ndarray
-) -> float:
-    """Dual-norm inner product (Q h1) . (Q h2) of two value vectors given on `region`."""
-    q = m.dual_weight(region)
-    return float((q @ np.asarray(h1)) @ (q @ np.asarray(h2)))
 
 
 def smooth_bump(

@@ -12,7 +12,8 @@ omega and W.  The machinery keeps one read-only operator per (omega, W)
 holding B, R, R^{-1}, Q and Q B R^{-1}; it computes its SVD factors, its
 modes and its minimal-L2 workspace on first use and keeps them, so each
 is formed once per geometry, and the singular values, the numerical rank
-and the modes are read from the operator.
+and the modes are read from the operator.  Past SVD_BLOCK nodes on either
+side, the SVD is a certified block of k >= the numerical rank triplets.
 
 solve_schedule runs any of the three inversion schemes over a whole alpha
 schedule and returns its K iterates as the columns of one matrix:
@@ -65,6 +66,10 @@ SCHEMES = ("spectral", "tikhonov", "minimal_l2")
 # singular values below RANK_RTOL * sigma_1 count as numerically zero
 RANK_RTOL = 1e-12
 
+# the first block of the rank-adaptive SVD; at most this many nodes on either
+# side of the weighted matrix take the full LAPACK SVD
+SVD_BLOCK = 64
+
 # minimal_l2 defaults: relative KKT tolerance and bisection step cap
 MINIMAL_L2_TOL, MINIMAL_L2_MAX_STEPS = 1e-10, 200_000
 
@@ -104,8 +109,10 @@ class UcpOperator:
     @cached_property
     def svd_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Thin SVD (U, sigma, V^T) of `weighted`, sigma descending, as
-        read-only arrays computed on first use."""
-        return tuple(_read_only(a) for a in np.linalg.svd(self.weighted, full_matrices=False))
+        read-only arrays computed on first use: all min(|W|, |omega|)
+        triplets up to SVD_BLOCK nodes on either side, and above that the
+        certified block of `_rank_adaptive_svd`."""
+        return tuple(_read_only(a) for a in _rank_adaptive_svd(self.weighted))
 
     @cached_property
     def minimal_l2_workspace(self) -> _MinimalL2Workspace:
@@ -148,6 +155,35 @@ class UcpOperator:
     def range_coefficients(self, window_vals: np.ndarray) -> np.ndarray:
         """Dual inner products of `window_vals` with every range mode."""
         return self.svd_factors[0].T @ (self.range_weight @ window_vals)
+
+
+def _rank_adaptive_svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD factors of w to its numerical rank, certified on w itself.
+
+    The randomized range finder with one power iteration (Halko, Martinsson
+    & Tropp, SIAM Review 53, 2011), made deterministic by a fixed sketch:
+    the DCT-II columns cos(pi (j + 1/2) c / n), c = 1..k, project w onto k
+    columns, one pass through w^T w sharpens that range, and the SVD of the
+    small projection gives k triplets.  They are accepted when the exact
+    residual ||w - U diag(s) V^T||_F is at most RANK_RTOL * s_1.  That
+    residual bounds every discarded singular value, so they all lie at or
+    below the rank cutoff, and no kept value is off by more (Weyl).
+    Otherwise the block doubles, and once it spans the smaller side
+    LAPACK's full thin SVD runs instead.
+    """
+    n, k = w.shape[1], SVD_BLOCK
+    while k < min(w.shape):
+        sketch = np.cos(np.pi * np.outer(np.arange(n) + 0.5, np.arange(1, k + 1)) / n)
+        q = np.linalg.qr(w @ sketch)[0]
+        q = np.linalg.qr(w @ np.linalg.qr(w.T @ q)[0])[0]  # the power iteration
+        ub, s, vt = np.linalg.svd(q.T @ w, full_matrices=False)
+        u = q @ ub
+        resid = (u * s) @ vt
+        resid -= w
+        if np.linalg.norm(resid) <= RANK_RTOL * s[0]:
+            return u, s, vt
+        k *= 2
+    return np.linalg.svd(w, full_matrices=False)
 
 
 @dataclass
@@ -321,17 +357,17 @@ class _MinimalL2Workspace:
         self.spacing = op.machinery.box.spacing
         a_oo = op.machinery.frac_lap[np.ix_(op.sets.omega, op.sets.omega)]
         # control-to-state map in omega coordinates (zero potential)
-        self.state_map = -np.linalg.solve(a_oo, op.matrix.T)
+        self.state_map = _read_only(-np.linalg.solve(a_oo, op.matrix.T))
         # C^{-1} = L^{-T} = Q^T / h (upper triangular) with G_W = C^T C = L L^T
-        self.chol_inv = op.range_weight.T / self.spacing
+        self.chol_inv = _read_only(op.range_weight.T / self.spacing)
         tc = self.state_map @ self.chol_inv
         # Sobolev control coordinates y to the dual state phi = -A_oo^{-1} u
-        self.phi_map = -np.linalg.solve(a_oo, tc)
-        self.smooth_hessian = self.spacing * (tc.T @ tc)
+        self.phi_map = _read_only(-np.linalg.solve(a_oo, tc))
+        self.smooth_hessian = _read_only(self.spacing * (tc.T @ tc))
         # eigenvalues at or below n * eps * d_max span the floating-point null space
-        d, self.eigvecs = np.linalg.eigh(self.smooth_hessian)
+        d, eigvecs = np.linalg.eigh(self.smooth_hessian)
         d[d <= op.n_window * np.finfo(float).eps * d[-1]] = 0.0
-        self.eigvals = d
+        self.eigvals, self.eigvecs = _read_only(d), _read_only(eigvecs)
 
     def data_vector(self, window_vals: np.ndarray) -> np.ndarray:
         # Riesz coordinates of f -> (h, f)_L2(W) in the window Sobolev geometry

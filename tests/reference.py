@@ -1,9 +1,11 @@
 """Computations the tests use and the package does not: the full-grid
 fractional Laplacian product, the singular-integral quadrature oracle, the
-measurement map and energy form of the forward problem, the weighted
-adjoint of the interior-to-window operator, the scalar one-alpha-at-a-time
-minimal-L2 solver, window data synthesized on a 2x finer grid, and
-nearest-neighbor infill of masked quotient nodes."""
+measurement map and energy form of the forward problem, the dual-norm inner
+product on a region, the weighted adjoint of the interior-to-window
+operator, LAPACK's full SVD as the oracle of the operator's rank-adaptive
+one, the scalar one-alpha-at-a-time minimal-L2 solver, window data
+synthesized on a 2x finer grid, and nearest-neighbor infill of masked
+quotient nodes."""
 
 from __future__ import annotations
 
@@ -148,6 +150,24 @@ def bq_eval(
     om = sets.omega
     quad += h * float(np.sum(q.values * u.values[om] * w.values[om]))
     return quad
+
+
+def hminus_s_inner(
+    m: SobolevMachinery, h1: np.ndarray, h2: np.ndarray, region: np.ndarray
+) -> float:
+    """Dual-norm inner product (Q h1) . (Q h2) of two value vectors given on `region`."""
+    q = m.dual_weight(region)
+    return float((q @ np.asarray(h1)) @ (q @ np.asarray(h2)))
+
+
+def with_full_svd(op: UcpOperator) -> UcpOperator:
+    """`op` with LAPACK's full thin SVD of its weighted matrix set as its SVD
+    factors before their first read, so every later solve on its geometry
+    runs on them."""
+    if "svd_factors" in vars(op):
+        raise ValueError("the operator's SVD factors were already read")
+    vars(op)["svd_factors"] = tuple(np.linalg.svd(op.weighted, full_matrices=False))
+    return op
 
 
 def ucp_adjoint(op: UcpOperator, window_vals: np.ndarray) -> GridFunction:

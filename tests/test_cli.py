@@ -223,6 +223,21 @@ class TestMalformedInput:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and want in err[0]
 
+    # an explicit stop rule used to run on to exit 0 with inf and nan in the report
+    @pytest.mark.parametrize("verb", ["reconstruct", "compare"])
+    @pytest.mark.parametrize("stop", [{"kind": "fixed_list"}, {"kind": "discrepancy", "delta": 1e-2}],
+                             ids=["fixed_list", "discrepancy"])
+    def test_overflowing_noise_under_explicit_stop_prints_one_line(self, tmp_path, verb, stop):
+        doc = base_problem()
+        doc["noise"]["level"], doc["scheme"]["stop_rule"] = 1e300, stop
+        path, out = write_problem(tmp_path, doc), tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "fracrec.cli", verb, path, str(out)],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_VALIDATION
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "noise.level" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("scheme, extra", [
         ({"stop_rule": {"kind": "discrepancy", "delta": None}}, []),
         ({"stop_rule": {"kind": "discrepancy", "delta": [1]}}, []),

@@ -11,7 +11,9 @@ from scipy.optimize import brentq
 
 import fracrec as fr
 
-from conftest import OMEGA, W1_PIPELINE, W2_PIPELINE, random_omega_bump
+from conftest import (OMEGA, RADIUS, S, W1_CLASSIC, W1_PIPELINE, W2_PIPELINE,
+                      random_omega_bump)
+from fracrec.grid import bump_values
 import reference as ref
 
 
@@ -195,7 +197,7 @@ class TestAdjoint:
             v = op_onesided.embed_domain(rng.standard_normal(len(om)))
             hw = rng.standard_normal(op_onesided.n_window)
             lv = op_onesided.apply(v)
-            lhs = fr.hminus_s_inner(mach, lv, hw, op_onesided.sets.w2)
+            lhs = ref.hminus_s_inner(mach, lv, hw, op_onesided.sets.w2)
             a = ref.ucp_adjoint(op_onesided, hw)
             rhs = fr.hs_inner(mach, a, v)
             scale = op_onesided.dual_norm(lv) * op_onesided.dual_norm(hw) + 1e-300
@@ -498,6 +500,82 @@ class TestMinimalL2Workspace:
         cold = fr.minimal_l2_reconstruct(fr.build_sobolev(box, mach.order), sets_shift, h, alpha)
         diff = np.linalg.norm(warm.phi_hat.values - cold.phi_hat.values)
         assert diff <= 1e-12 * np.linalg.norm(cold.phi_hat.values)
+
+    def test_arrays_are_read_only(self, op_pipeline):
+        ws = op_pipeline.minimal_l2_workspace
+        for name in ("state_map", "chol_inv", "phi_map", "smooth_hessian", "eigvecs", "eigvals"):
+            assert not getattr(ws, name).flags.writeable, name
+
+
+# N = 4096 on the suite's box: both sides of each weighted matrix exceed
+# SVD_BLOCK, so its SVD takes the rank-adaptive path
+RANK_PATH_POINTS = 4096
+RANK_PATH_REGIONS = {"pipeline": (OMEGA, W1_PIPELINE, W2_PIPELINE),
+                     "onesided": (OMEGA, W1_CLASSIC, W1_CLASSIC)}
+
+
+@pytest.fixture(scope="module")
+def box_4096():
+    return fr.build_box(RADIUS, RANK_PATH_POINTS)
+
+
+def fresh_operator(box, name):
+    m = fr.build_sobolev(box, fr.FractionalOrder(S))
+    return fr.assemble_ucp(m, fr.build_index_sets(box, *RANK_PATH_REGIONS[name]))
+
+
+class TestRankAdaptiveSvd:
+    def test_small_geometry_takes_full_svd(self, op_pipeline):
+        assert min(op_pipeline.weighted.shape) <= fr.ucp.SVD_BLOCK
+        want = np.linalg.svd(op_pipeline.weighted, full_matrices=False)
+        assert all(np.array_equal(a, b) for a, b in zip(op_pipeline.svd_factors, want))
+
+    @pytest.mark.parametrize("name", RANK_PATH_REGIONS)
+    def test_matches_lapack_to_the_rank(self, box_4096, name):
+        # bounds relative to sigma_1: LAPACK's own triplets on the one-sided
+        # window miss 1e-9 sigma_j for j < 10 at this size
+        op = fresh_operator(box_4096, name)
+        w, (u, s, vt) = op.weighted, op.svd_factors
+        big_u, big_s, big_vt = np.linalg.svd(w, full_matrices=False)
+        tol = fr.ucp.RANK_RTOL * big_s[0]
+        r = op.numerical_rank
+        assert fr.ucp.SVD_BLOCK <= len(s) < min(w.shape)
+        assert r == int(np.sum(big_s > tol)) and r < len(s)
+        assert np.all(np.abs(s[:r] - big_s[:r]) <= tol)
+        for uu, ss, vv in ((u, s, vt), (big_u, big_s, big_vt)):
+            assert np.linalg.norm(w @ vv[:r].T - uu[:, :r] * ss[:r], axis=0).max() <= tol
+            assert np.linalg.norm(w.T @ uu[:, :r] - vv[:r].T * ss[:r], axis=0).max() <= tol
+        assert np.linalg.norm(w - (u * s) @ vt) <= fr.ucp.RANK_RTOL * s[0]
+
+    @pytest.mark.parametrize("name", RANK_PATH_REGIONS)
+    def test_deterministic_read_only_and_no_full_svd(self, box_4096, name, svd_calls):
+        a, b = fresh_operator(box_4096, name), fresh_operator(box_4096, name)
+        assert a is not b
+        assert all(np.array_equal(x, y) for x, y in zip(a.svd_factors, b.svd_factors))
+        assert not any(x.flags.writeable for x in a.svd_factors)
+        assert svd_calls and a.weighted.shape not in svd_calls
+
+    @pytest.mark.parametrize("scheme", ["spectral", "tikhonov"])
+    def test_pipeline_matches_full_svd_oracle(self, box_4096, scheme):
+        reports = []
+        for oracle in (False, True):
+            m = fr.build_sobolev(box_4096, fr.FractionalOrder(S))
+            sets = fr.build_index_sets(box_4096, *RANK_PATH_REGIONS["pipeline"])
+            if oracle:
+                ref.with_full_svd(fr.assemble_ucp(m, sets))
+            q = fr.Potential(2.0 * bump_values(box_4096.nodes[sets.omega], 0.0, 0.5))
+            f = fr.smooth_bump(box_4096, 4.5, 0.45)
+            rec = fr.synthetic_measurement(m, sets, q, f, noise_level=1e-4, seed=1)
+            cfg = fr.RegularizerConfig(scheme=scheme)
+            reports.append(fr.full_pipeline(m, sets, rec, cfg, tau=1e-3))
+        got, want = reports
+        assert len(got.residuals) == len(want.residuals)
+        assert np.array_equal(got.nodal_mask, want.nodal_mask)
+        # in the max norm, LAPACK on W and on W^T already differ by 7e-8 here,
+        # at the node next to omega's edge
+        keep = ~want.nodal_mask
+        err = np.linalg.norm(got.q_rec[keep] - want.q_rec[keep])
+        assert err <= 1e-7 * np.linalg.norm(want.q_rec[keep])
 
 
 class TestRegularizerConfig:
