@@ -21,7 +21,6 @@ from .grid import (
     build_box,
     build_index_sets,
     build_sobolev,
-    hminus_s_norm,
     hs_inner,
     hs_norm,
     l2_norm,
@@ -44,7 +43,6 @@ from .ucp import (
     minimal_l2_reconstruct,
     runge_approximate,
     solve_schedule,
-    spectral_reconstruct,
     tikhonov_reconstruct,
     ucp_svd,
 )

@@ -305,7 +305,7 @@ def _setup(args, cfg: dict | None = None):
 
 def _write_json(path: str, cfg: dict, box, fields: dict) -> None:
     """A JSON report: `fields` with the problem's config hash and grid."""
-    grid = {"radius": box.radius, "points": box.points_per_axis, "spacing": _fmt(box.spacing)}
+    grid = {"radius": box.radius, "points": box.size, "spacing": _fmt(box.spacing)}
     doc = {"config_hash": config_hash(cfg), "grid": grid, **fields}
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

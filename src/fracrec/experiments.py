@@ -335,5 +335,4 @@ def spectrum_report(op: UcpOperator) -> dict:
         "log10_sigma": np.log10(np.maximum(sig, np.finfo(float).tiny)),
         "numerical_rank": op.numerical_rank,
         "slope": fit["slope"],
-        "r2": fit["r2"],
     }

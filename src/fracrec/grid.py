@@ -31,7 +31,6 @@ __all__ = [
     "hs_inner",
     "hs_norm",
     "l2_norm",
-    "hminus_s_norm",
     "smooth_bump",
 ]
 
@@ -41,20 +40,15 @@ class SimulationBox:
     """Truncated 1-D computational box [-R, R] with N cell-centered nodes."""
 
     radius: float
-    points_per_axis: int
+    size: int
 
     @property
     def spacing(self) -> float:
-        return 2.0 * self.radius / self.points_per_axis
+        return 2.0 * self.radius / self.size
 
     @property
     def nodes(self) -> np.ndarray:
-        n = self.points_per_axis
-        return -self.radius + (np.arange(n) + 0.5) * self.spacing
-
-    @property
-    def size(self) -> int:
-        return self.points_per_axis
+        return -self.radius + (np.arange(self.size) + 0.5) * self.spacing
 
 
 @dataclass(frozen=True)
@@ -62,15 +56,13 @@ class IndexSets:
     """Disjoint node-index sets for the interior region and exterior windows.
 
     ``omega`` indexes the interior region, ``w1`` the control window,
-    ``w2`` the measurement window; ``exterior`` is the complement of omega.
-    w1 and w2 live inside the exterior and may coincide, but w1 must keep a
-    positive distance from omega.
+    ``w2`` the measurement window.  w1 and w2 lie in the complement of
+    omega and may coincide, but w1 must keep a positive distance from omega.
     """
 
     omega: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
-    exterior: np.ndarray
 
 
 @dataclass
@@ -110,10 +102,9 @@ class Circulant:
     """Symmetric n x n circulant matrix C[i, j] = col[(i - j) % n], held as
     its first column.
 
-    ``C[np.ix_(rows, cols)]`` gathers a block from the column,
-    ``C.rows(rows, x)`` is ``(C @ x)[rows]`` and ``C @ x`` is that product
-    on every row.  ``nbytes`` counts the bytes held; ``np.asarray(C)`` forms
-    the dense matrix (small n only).
+    ``C[np.ix_(rows, cols)]`` gathers a block from the column and
+    ``C.rows(rows, x)`` is ``(C @ x)[rows]``.  ``nbytes`` counts the bytes
+    held.
 
     ``rows`` gathers the |rows| x |supp x| block and sums over the support
     of x only.  Past GATHER_MAX_ENTRIES = 2**26 block entries (1 GiB of
@@ -142,13 +133,6 @@ class Circulant:
             n = len(self.col)
             return np.fft.irfft(np.fft.rfft(self.col) * np.fft.rfft(x), n)[rows]
         return self[np.ix_(rows, supp)] @ x[supp]
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return self.rows(np.arange(len(self.col)), x)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        idx = np.arange(len(self.col))
-        return np.asarray(self[np.ix_(idx, idx)], dtype=dtype)
 
 
 @dataclass
@@ -290,13 +274,10 @@ def build_index_sets(
     if (om_mask & w1_mask).any() or (om_mask & w2_mask).any():
         raise ValueError("omega overlaps an exterior window")
 
-    omega = np.nonzero(om_mask)[0]
-    exterior = np.nonzero(~om_mask)[0]
     return IndexSets(
-        omega=omega,
+        omega=np.nonzero(om_mask)[0],
         w1=np.nonzero(w1_mask)[0],
         w2=np.nonzero(w2_mask)[0],
-        exterior=exterior,
     )
 
 
@@ -307,9 +288,8 @@ def _circulant_column(symbol: np.ndarray) -> np.ndarray:
 
 def build_sobolev(box: SimulationBox, order: FractionalOrder) -> SobolevMachinery:
     """Assemble the operator and norm circulants for one box and order s."""
-    n = box.points_per_axis
     h = box.spacing
-    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    xi = 2.0 * np.pi * np.fft.fftfreq(box.size, d=h)
     frac_lap = Circulant(_circulant_column(np.abs(xi) ** (2.0 * order.s)))
     gram_hs = Circulant(h * _circulant_column((1.0 + xi ** 2) ** order.s))
     return SobolevMachinery(box, order, frac_lap, gram_hs)
@@ -335,20 +315,6 @@ def hs_norm(m: SobolevMachinery, u: GridFunction) -> float:
 def l2_norm(m: SobolevMachinery, values: np.ndarray) -> float:
     """Discrete L2 norm of raw nodal values (any subset of nodes)."""
     return float(np.sqrt(m.box.spacing * np.sum(np.asarray(values) ** 2)))
-
-
-def hminus_s_norm(m: SobolevMachinery, hfun: GridFunction, region: np.ndarray) -> float:
-    """Dual Sobolev norm of h over `region`.
-
-    Realized as the dual norm of the region-supported Sobolev space:
-    sup over region-supported phi of (h, phi)_L2 / ||phi||_Hs, i.e.
-    sqrt(h^T M_r G_r^{-1} M_r h) = ||Q h|| with the region Gram block G_r,
-    the mass M_r = spacing * I and the machinery's dual weight Q.
-    """
-    _check_same_box(m, hfun)
-    if len(region) == 0:
-        raise ValueError("empty region")
-    return float(np.linalg.norm(m.dual_weight(region) @ hfun.values[region]))
 
 
 def smooth_bump(

@@ -117,6 +117,8 @@ def recover_interior(
     from the assembled operator.  The fixed-list rule returns
     the last iterate; ("discrepancy", delta) cuts the trace at the first
     row whose residual is at or below delta and returns that row's iterate.
+    A kept row or a returned iterate that is not finite (data so large
+    that the norms overflow) raises PipelineError.
     """
     if cfg.alpha_schedule is None:
         alphas = default_alpha_schedule(float(op.sigmas[0]))
@@ -125,10 +127,16 @@ def recover_interior(
     delta = cfg.stop_rule[1] if cfg.stop_rule[0] == "discrepancy" else None
     window_vals = np.asarray(window_vals, dtype=float)
     iterates = solve_schedule(op, window_vals, cfg, alphas)
-    residuals, penalties = _trace_norms(op, iterates, window_vals)
+    with np.errstate(over="ignore"):
+        residuals, penalties = _trace_norms(op, iterates, window_vals)
 
     hits = np.flatnonzero(residuals <= delta) if delta is not None else []
     n = hits[0] + 1 if len(hits) else len(residuals)
+    if not np.isfinite(np.concatenate((residuals[:n], penalties[:n], iterates[:, n - 1]))).all():
+        rows = np.isfinite(residuals[:n]) & np.isfinite(penalties[:n])
+        k = n - 1 if rows.all() else np.argmin(rows)
+        raise PipelineError(2, f"the iterate at alpha {alphas[k]:.6g} has no finite "
+                               "residual or norm: the data are too large")
     trace = [
         {
             "alpha": float(alphas[k]),

@@ -9,11 +9,11 @@ decomposition is computed for the congruence-transformed matrix
 Q B R^{-1} = U diag(sigma) V^T, where G_omega = R^T R and the dual Gram on
 W equals Q^T Q; R = L^T and Q = h L_W^{-1} come from the Gram factors of
 omega and W.  The machinery keeps one read-only operator per (omega, W)
-holding B, R, R^{-1}, Q and Q B R^{-1}; it computes its SVD factors, its
-modes and its minimal-L2 workspace on first use and keeps them, so each
-is formed once per geometry, and the singular values, the numerical rank
-and the modes are read from the operator.  Past SVD_BLOCK nodes on either
-side, the SVD is a certified block of k >= the numerical rank triplets.
+holding B, R, R^{-1}, Q and Q B R^{-1}; it computes its SVD factors and
+its minimal-L2 workspace on first use and keeps them, so each is formed
+once per geometry, and the singular values and the numerical rank are
+read from the operator.  Past SVD_BLOCK nodes on either side, the SVD is
+a certified block of k >= the numerical rank triplets.
 
 solve_schedule runs any of the three inversion schemes over a whole alpha
 schedule and returns its K iterates as the columns of one matrix:
@@ -53,7 +53,6 @@ __all__ = [
     "assemble_ucp",
     "ucp_svd",
     "solve_schedule",
-    "spectral_reconstruct",
     "tikhonov_reconstruct",
     "minimal_l2_reconstruct",
     "runge_approximate",
@@ -99,10 +98,6 @@ class UcpOperator:
     weighted: np.ndarray          # Q @ matrix @ R^{-1}
 
     @property
-    def n_omega(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
     def n_window(self) -> int:
         return self.matrix.shape[0]
 
@@ -141,20 +136,6 @@ class UcpOperator:
         """Number of singular values above RANK_RTOL * sigma_1."""
         sig = self.sigmas
         return int(np.sum(sig > RANK_RTOL * sig[0])) if len(sig) else 0
-
-    @cached_property
-    def domain_modes(self) -> np.ndarray:
-        """|omega| x r modes R^{-1} V, orthonormal in G_omega."""
-        return _read_only(self.domain_chol_inv @ self.svd_factors[2].T)
-
-    @cached_property
-    def range_modes(self) -> np.ndarray:
-        """|W| x r modes Q^{-1} U, orthonormal in the dual Gram."""
-        return _read_only(np.linalg.solve(self.range_weight, self.svd_factors[0]))
-
-    def range_coefficients(self, window_vals: np.ndarray) -> np.ndarray:
-        """Dual inner products of `window_vals` with every range mode."""
-        return self.svd_factors[0].T @ (self.range_weight @ window_vals)
 
 
 def _rank_adaptive_svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,9 +210,9 @@ def assemble_ucp(m: SobolevMachinery, sets: IndexSets) -> UcpOperator:
     read-only operator per (omega, w2), kept on the machinery, so every
     call on that geometry returns the same operator and its SVD.
 
-    The operator keeps the IndexSets of its first caller.  Only omega, w2
-    and exterior are read through `op.sets`, and the key fixes all three;
-    w1 is never read through it.
+    The operator keeps the IndexSets of its first caller.  Only omega and
+    w2 are read through `op.sets`, and the key fixes both; w1 is never read
+    through it.
     """
     if len(sets.omega) == 0 or len(sets.w2) == 0:
         raise ValueError("omega and the window must be nonempty")
@@ -287,12 +268,6 @@ def solve_schedule(
         gains = sig / (sig**2 + a)
     qh = op.range_weight @ window_vals
     return op.domain_chol_inv @ (vt.T @ (gains * (u.T @ qh)).T)
-
-
-def spectral_reconstruct(op: UcpOperator, window_vals: np.ndarray, alpha: float) -> GridFunction:
-    """Truncated-SVD inversion keeping singular values >= alpha."""
-    cfg = RegularizerConfig(scheme="spectral", alpha_schedule=[alpha])
-    return op.embed_domain(solve_schedule(op, window_vals, cfg, cfg.alpha_schedule)[:, 0])
 
 
 def tikhonov_reconstruct(

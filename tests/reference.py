@@ -1,11 +1,12 @@
 """Computations the tests use and the package does not: the full-grid
-fractional Laplacian product, the singular-integral quadrature oracle, the
-measurement map and energy form of the forward problem, the dual-norm inner
-product on a region, the weighted adjoint of the interior-to-window
-operator, LAPACK's full SVD as the oracle of the operator's rank-adaptive
-one, the scalar one-alpha-at-a-time minimal-L2 solver, window data
-synthesized on a 2x finer grid, and nearest-neighbor infill of masked
-quotient nodes."""
+circulant product and dense matrix, the complement of omega, the
+singular-integral quadrature oracle, the measurement map and energy form
+of the forward problem, the dual norm and inner product on a region, the
+weighted adjoint of the interior-to-window operator, its singular modes,
+LAPACK's full SVD as the oracle of the operator's rank-adaptive one, the
+one-alpha truncated SVD, the scalar one-alpha-at-a-time minimal-L2 solver,
+window data synthesized on a 2x finer grid, and nearest-neighbor infill of
+masked quotient nodes."""
 
 from __future__ import annotations
 
@@ -29,15 +30,32 @@ from fracrec import (
     build_index_sets,
     build_sobolev,
     solve_dirichlet,
+    solve_schedule,
     synthetic_measurement,
 )
-from fracrec.grid import _check_same_box
+from fracrec.grid import Circulant, SimulationBox, _check_same_box
+
+
+def full_product(circ: Circulant, x: np.ndarray) -> np.ndarray:
+    """C @ x on every row."""
+    return circ.rows(np.arange(len(circ.col)), x)
+
+
+def dense(circ: Circulant) -> np.ndarray:
+    """The dense n x n matrix of a circulant (small n only)."""
+    idx = np.arange(len(circ.col))
+    return circ[np.ix_(idx, idx)]
+
+
+def exterior(box: SimulationBox, sets: IndexSets) -> np.ndarray:
+    """The node indices outside omega."""
+    return np.setdiff1d(np.arange(box.size), sets.omega)
 
 
 def fraclap_apply(m: SobolevMachinery, u: GridFunction) -> GridFunction:
     """Apply the collocation fractional Laplacian: exact matrix-vector product."""
     _check_same_box(m, u)
-    return GridFunction(m.frac_lap @ u.values, m.box)
+    return GridFunction(full_product(m.frac_lap, u.values), m.box)
 
 
 def _power_integral(a: np.ndarray, b: np.ndarray, p: float) -> np.ndarray:
@@ -130,7 +148,7 @@ def dtn_apply(
     where: np.ndarray,
 ) -> np.ndarray:
     """Measurement map: values of A u on the node set `where` (inside the exterior)."""
-    if not np.isin(where, sets.exterior).all():
+    if not np.isin(where, exterior(m.box, sets)).all():
         raise ValueError("measurement nodes must lie in the exterior")
     sol = solve_dirichlet(m, sets, q, f)
     return m.frac_lap.rows(where, sol.u.values)
@@ -152,6 +170,11 @@ def bq_eval(
     return quad
 
 
+def hminus_s_norm(m: SobolevMachinery, hfun: GridFunction, region: np.ndarray) -> float:
+    """Dual Sobolev norm ||Q h|| of h over `region`, Q the machinery's dual weight."""
+    return float(np.linalg.norm(m.dual_weight(region) @ hfun.values[region]))
+
+
 def hminus_s_inner(
     m: SobolevMachinery, h1: np.ndarray, h2: np.ndarray, region: np.ndarray
 ) -> float:
@@ -168,6 +191,27 @@ def with_full_svd(op: UcpOperator) -> UcpOperator:
         raise ValueError("the operator's SVD factors were already read")
     vars(op)["svd_factors"] = tuple(np.linalg.svd(op.weighted, full_matrices=False))
     return op
+
+
+def domain_modes(op: UcpOperator) -> np.ndarray:
+    """|omega| x r modes R^-1 V, orthonormal in G_omega."""
+    return op.domain_chol_inv @ op.svd_factors[2].T
+
+
+def range_modes(op: UcpOperator) -> np.ndarray:
+    """|W| x r modes Q^-1 U, orthonormal in the dual Gram."""
+    return np.linalg.solve(op.range_weight, op.svd_factors[0])
+
+
+def range_coefficients(op: UcpOperator, window_vals: np.ndarray) -> np.ndarray:
+    """Dual inner products of `window_vals` with every range mode."""
+    return op.svd_factors[0].T @ (op.range_weight @ window_vals)
+
+
+def spectral_reconstruct(op: UcpOperator, window_vals: np.ndarray, alpha: float) -> GridFunction:
+    """Truncated-SVD inversion keeping singular values >= alpha."""
+    cfg = RegularizerConfig(scheme="spectral", alpha_schedule=[alpha])
+    return op.embed_domain(solve_schedule(op, window_vals, cfg, cfg.alpha_schedule)[:, 0])
 
 
 def ucp_adjoint(op: UcpOperator, window_vals: np.ndarray) -> GridFunction:
@@ -289,7 +333,7 @@ def fine_grid_measurement(
     index sets; q_of_x and f_of_x evaluate the potential on the interior
     nodes and the datum on the control-window nodes of the fine grid.
     """
-    box_f = build_box(m.box.radius, 2 * m.box.points_per_axis)
+    box_f = build_box(m.box.radius, 2 * m.box.size)
     m_f = build_sobolev(box_f, m.order)
     sets_f = build_index_sets(box_f, *regions)
     q_f = Potential(q_of_x(box_f.nodes[sets_f.omega]))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -237,6 +238,31 @@ class TestMalformedInput:
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "noise.level" in err[0]
         assert not out.exists()
+
+    # a finite data norm whose iterates' norms overflow used to exit 0 with
+    # numpy RuntimeWarnings on stderr, and under fixed_list with inf in the report
+    @pytest.mark.parametrize("level", [1e150, 1e152])
+    @pytest.mark.parametrize("stop", ["auto", "fixed_list"])
+    @pytest.mark.parametrize("verb", ["reconstruct", "compare"])
+    def test_overflowing_iterate_norms_exit_clean(self, tmp_path, verb, stop, level):
+        doc = json.loads(EXAMPLE.read_text())
+        doc["noise"]["level"] = level
+        if stop != "auto":
+            doc["scheme"]["stop_rule"] = {"kind": stop}
+        path, out = write_problem(tmp_path, doc), tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "fracrec.cli", "--quiet", verb, path,
+                               str(out)],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        err = proc.stderr.splitlines()
+        if proc.returncode == EXIT_OK:
+            assert err == []
+            assert not re.search(r"\b(inf|nan)\b", out.read_text(), re.IGNORECASE)
+        else:
+            assert proc.returncode == EXIT_VALIDATION
+            assert len(err) == 1 and err[0].startswith("error:")
+            assert not out.exists()
+        if (verb, stop, level) == ("reconstruct", "fixed_list", 1e150):
+            assert proc.returncode == EXIT_VALIDATION
 
     @pytest.mark.parametrize("scheme, extra", [
         ({"stop_rule": {"kind": "discrepancy", "delta": None}}, []),

@@ -55,7 +55,7 @@ class TestSolveDirichlet:
     def test_exterior_identity_bit_exact(self, mach, sets_classic, zero_q, box):
         f = w1_bump(box, sets_classic)
         sol = fr.solve_dirichlet(mach, sets_classic, zero_q, f)
-        ext = sets_classic.exterior
+        ext = ref.exterior(box, sets_classic)
         assert np.array_equal(sol.u.values[ext], f.values[ext])
 
     def test_linearity(self, mach, sets_classic, box, rng):
@@ -122,9 +122,9 @@ class TestMeasurementMap:
         f = w1_bump(box, sets_classic)
         sol = fr.solve_dirichlet(mach, sets_classic, q, f)
         g = ref.dtn_apply(mach, sets_classic, q, f, sets_classic.w2)
-        h = g - (mach.frac_lap @ f.values)[sets_classic.w2]
+        h = g - ref.full_product(mach.frac_lap, f.values)[sets_classic.w2]
         v = sol.u.values - f.values
-        lv = (mach.frac_lap @ v)[sets_classic.w2]
+        lv = ref.full_product(mach.frac_lap, v)[sets_classic.w2]
         assert np.abs(h - lv).max() <= 1e-10 * max(np.abs(lv).max(), 1e-300)
 
     def test_window_outside_exterior_rejected(self, mach, sets_classic, zero_q, box):
@@ -139,7 +139,7 @@ class TestMeasurementMap:
         f2 = np.zeros(box.size)
         f2[sets_classic.w2] = fr.smooth_bump(box, -2.5, 0.4).values[sets_classic.w2]
         f2 = fr.GridFunction(f2, box)
-        ext = sets_classic.exterior
+        ext = ref.exterior(box, sets_classic)
         h = box.spacing
         lf1 = ref.dtn_apply(mach, sets_classic, q, f1, ext)
         lf2 = ref.dtn_apply(mach, sets_classic, q, f2, ext)

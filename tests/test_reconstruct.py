@@ -49,7 +49,7 @@ def ground_truth(box, mach, sets_pipeline):
 class TestMeasurementToH:
     def test_datum_only_measurement_gives_zero(self, mach, sets_pipeline, box):
         f = pipeline_datum(box, sets_pipeline)
-        g = (mach.frac_lap @ f.values)[sets_pipeline.w2]
+        g = ref.full_product(mach.frac_lap, f.values)[sets_pipeline.w2]
         rec = fr.MeasurementRecord(f=f, g=g)
         h = fr.measurement_to_h(mach, sets_pipeline, rec)
         assert np.all(h == 0.0)
@@ -61,12 +61,12 @@ class TestMeasurementToH:
         rec = fr.synthetic_measurement(mach, sets_pipeline, q, f)
         h = fr.measurement_to_h(mach, sets_pipeline, rec)
         v = sol.u.values - f.values
-        lv = (mach.frac_lap @ v)[sets_pipeline.w2]
+        lv = ref.full_product(mach.frac_lap, v)[sets_pipeline.w2]
         assert np.abs(h - lv).max() <= 1e-10 * np.abs(lv).max()
 
     def test_additive_noise_shifts_h_exactly(self, mach, sets_pipeline, box, rng):
         f = pipeline_datum(box, sets_pipeline)
-        g = (mach.frac_lap @ f.values)[sets_pipeline.w2]
+        g = ref.full_product(mach.frac_lap, f.values)[sets_pipeline.w2]
         e = rng.standard_normal(len(g))
         h0 = fr.measurement_to_h(mach, sets_pipeline, fr.MeasurementRecord(f=f, g=g))
         h1 = fr.measurement_to_h(mach, sets_pipeline, fr.MeasurementRecord(f=f, g=g + e))
@@ -115,9 +115,9 @@ class TestRecoverInterior:
         # must return the same interior part at matched schedule depths
         sig = svd_pipeline.sigmas
         weights = np.array([0.8, -0.5, 0.3, 0.15, -0.08, 0.04])
-        v_lead = op_pipeline.embed_domain(svd_pipeline.domain_modes[:, :6] @ weights)
+        v_lead = op_pipeline.embed_domain(ref.domain_modes(svd_pipeline)[:, :6] @ weights)
         f = pipeline_datum(box, sets_pipeline)
-        g = op_pipeline.apply(v_lead) + (mach.frac_lap @ f.values)[sets_pipeline.w2]
+        g = op_pipeline.apply(v_lead) + ref.full_product(mach.frac_lap, f.values)[sets_pipeline.w2]
         rec = fr.MeasurementRecord(f=f, g=g)
         h = fr.measurement_to_h(mach, sets_pipeline, rec)
         cfg_s = fr.RegularizerConfig(
@@ -205,7 +205,7 @@ class TestRecoverInterior:
     def test_discrepancy_stops_early(self, op_pipeline, svd_pipeline, box, rng):
         truth = random_omega_bump(box, rng)
         vals = truth.values.copy()
-        vals[op_pipeline.sets.exterior] = 0.0
+        vals[ref.exterior(box, op_pipeline.sets)] = 0.0
         h = op_pipeline.apply(fr.GridFunction(vals, box))
         h = h + 0.1 * op_pipeline.dual_norm(h) / op_pipeline.n_window * rng.standard_normal(
             op_pipeline.n_window
@@ -244,7 +244,7 @@ class TestTraceRowNorms:
                 assert row["penalty_hs"] == pytest.approx(fr.hs_norm(mach, v), rel=1e-10)
                 rvals = np.zeros(box.size)
                 rvals[w2] = op_pipeline.apply(v) - h
-                resid = fr.hminus_s_norm(mach, fr.GridFunction(rvals, box), w2)
+                resid = ref.hminus_s_norm(mach, fr.GridFunction(rvals, box), w2)
                 assert row["residual_dual"] == pytest.approx(resid, rel=1e-10)
 
 
@@ -401,7 +401,7 @@ class TestQuotient:
         f = pipeline_datum(box, sets_pipeline)
         sol = fr.solve_dirichlet(mach, sets_pipeline, q0, f)
         q_vals, mask = fr.quotient_q(mach, sets_pipeline, sol.u, tau=1e-3)
-        au_full = mach.frac_lap @ sol.u.values
+        au_full = ref.full_product(mach.frac_lap, sol.u.values)
         u_om = sol.u.values[sets_pipeline.omega]
         bound = 1e-6 * np.abs(au_full).max() / np.abs(u_om).max()
         assert np.abs(q_vals[~mask]).max() <= bound
@@ -456,7 +456,6 @@ class TestFullPipeline:
         op = fr.assemble_ucp(m, sets_pipeline)
         assert svd_calls == [op.weighted.shape]
         assert list(m.cache) == [("ucp", sets_pipeline.omega.tobytes(), sets_pipeline.w2.tobytes())]
-        assert not any(a.flags.writeable for a in (op.domain_modes, op.range_modes))
 
     def test_sets_differing_in_w1_share_the_operator(self, box, mach, sets_pipeline, ground_truth):
         # the operator keeps its first caller's sets; w1 is never read through them
@@ -495,9 +494,9 @@ class TestFullPipeline:
         # state = datum + interior part, exactly
         assert np.array_equal(report.u.values, f.values + report.v.values)
         # interior part vanishes on the exterior window nodes
-        assert np.all(report.v.values[sets_pipeline.exterior] == 0.0)
+        assert np.all(report.v.values[ref.exterior(box, sets_pipeline)] == 0.0)
         # quotient identity on unmasked nodes is a tautology of step (4)
-        au = (mach.frac_lap @ report.u.values)[sets_pipeline.omega]
+        au = ref.full_product(mach.frac_lap, report.u.values)[sets_pipeline.omega]
         u_om = report.u.values[sets_pipeline.omega]
         good = ~report.nodal_mask
         resid = au[good] + report.q_rec[good] * u_om[good]

@@ -23,15 +23,15 @@ def omega_vector(op, values_om):
 
 class TestAssembly:
     def test_zero_maps_to_zero(self, op_onesided):
-        v = op_onesided.embed_domain(np.zeros(op_onesided.n_omega))
+        v = op_onesided.embed_domain(np.zeros(len(op_onesided.sets.omega)))
         assert np.all(op_onesided.apply(v) == 0.0)
 
     def test_columns_match_full_operator(self, op_onesided, mach):
         # applying the full matrix to a basis vector and restricting agrees
         j = 7
-        e = np.zeros(op_onesided.n_omega)
+        e = np.zeros(len(op_onesided.sets.omega))
         e[j] = 1.0
-        full = mach.frac_lap @ op_onesided.embed_domain(e).values
+        full = ref.full_product(mach.frac_lap, op_onesided.embed_domain(e).values)
         assert np.array_equal(op_onesided.matrix[:, j], full[op_onesided.sets.w2]) or \
             np.abs(op_onesided.matrix[:, j] - full[op_onesided.sets.w2]).max() <= 1e-12
 
@@ -63,9 +63,9 @@ class TestAssembly:
 
 class TestWeightedSvd:
     def test_singular_triplet_relations(self, svd_onesided, op_onesided):
+        psis, phis = ref.domain_modes(svd_onesided), ref.range_modes(svd_onesided)
         for j in range(min(10, svd_onesided.numerical_rank)):
-            psi = svd_onesided.domain_modes[:, j]
-            phi = svd_onesided.range_modes[:, j]
+            psi, phi = psis[:, j], phis[:, j]
             lpsi = op_onesided.matrix @ psi
             resid = op_onesided.dual_norm(lpsi - svd_onesided.sigmas[j] * phi)
             assert resid <= 1e-9 * svd_onesided.sigmas[j]
@@ -81,13 +81,13 @@ class TestWeightedSvd:
             np.ix_(op_onesided.sets.omega, op_onesided.sets.omega)
         ]
         r = svd_onesided.numerical_rank
-        psi = svd_onesided.domain_modes[:, :r]
+        psi = ref.domain_modes(svd_onesided)[:, :r]
         g = psi.T @ gram @ psi
         assert np.abs(g - np.eye(r)).max() <= 1e-9
 
     def test_range_orthonormality(self, svd_onesided, op_onesided):
         r = svd_onesided.numerical_rank
-        phi = svd_onesided.range_modes[:, :r]
+        phi = ref.range_modes(svd_onesided)[:, :r]
         q = op_onesided.range_weight
         g = (q @ phi).T @ (q @ phi)
         assert np.abs(g - np.eye(r)).max() <= 1e-9
@@ -150,7 +150,7 @@ class TestFiltersTakeTheOperator:
         op = fr.assemble_ucp(mach, sets_pipeline)
         for alpha in (1e-2, 1e-5, 1e-8):
             if scheme == "spectral":
-                got = fr.spectral_reconstruct(op, h, alpha)
+                got = ref.spectral_reconstruct(op, h, alpha)
             else:
                 got = fr.tikhonov_reconstruct(op, h, alpha)[0]
             cfg = fr.RegularizerConfig(scheme=scheme, alpha_schedule=[alpha])
@@ -160,7 +160,7 @@ class TestFiltersTakeTheOperator:
 
 class TestSchemeArguments:
     SOLVERS = {
-        "spectral": fr.spectral_reconstruct,
+        "spectral": ref.spectral_reconstruct,
         "tikhonov": fr.tikhonov_reconstruct,
         "minimal_l2": lambda op, h, alpha, **kw: fr.minimal_l2_reconstruct(
             op.machinery, op.sets, h, alpha, **kw),
@@ -208,26 +208,26 @@ class TestSpectralScheme:
     def test_mode_recovery_once_alpha_below_sigma(self, svd_onesided, op_onesided):
         j = 2
         sig = svd_onesided.sigmas
-        psi = svd_onesided.domain_modes[:, j]
+        psi = ref.domain_modes(svd_onesided)[:, j]
         h = op_onesided.matrix @ psi
-        rec = fr.spectral_reconstruct(svd_onesided, h, alpha=sig[j] * 0.999)
+        rec = ref.spectral_reconstruct(svd_onesided, h, alpha=sig[j] * 0.999)
         gram = op_onesided.machinery.gram_hs[
             np.ix_(op_onesided.sets.omega, op_onesided.sets.omega)
         ]
         d = rec.values[op_onesided.sets.omega] - psi
         assert np.sqrt(d @ gram @ d) <= 1e-9
         # above sigma_j the mode is filtered out entirely
-        rec0 = fr.spectral_reconstruct(svd_onesided, h, alpha=sig[j - 1])
+        rec0 = ref.spectral_reconstruct(svd_onesided, h, alpha=sig[j - 1])
         d0 = rec0.values[op_onesided.sets.omega]
         assert np.sqrt(d0 @ gram @ d0) <= 1e-9 or np.abs(d0).max() <= 1e-12
 
     def test_zero_data(self, svd_onesided, op_onesided):
-        out = fr.spectral_reconstruct(svd_onesided, np.zeros(op_onesided.n_window), 1e-3)
+        out = ref.spectral_reconstruct(svd_onesided, np.zeros(op_onesided.n_window), 1e-3)
         assert np.all(out.values == 0.0)
 
     def test_alpha_above_sigma1_returns_zero(self, svd_onesided, op_onesided, rng):
         h = rng.standard_normal(op_onesided.n_window)
-        out = fr.spectral_reconstruct(svd_onesided, h, alpha=2 * svd_onesided.sigmas[0])
+        out = ref.spectral_reconstruct(svd_onesided, h, alpha=2 * svd_onesided.sigmas[0])
         assert np.all(out.values == 0.0)
 
     def test_error_decreases_on_exact_data(self, svd_onesided, op_onesided, mach, box, rng):
@@ -241,7 +241,7 @@ class TestSpectralScheme:
         sig1 = svd_onesided.sigmas[0]
         errs = []
         for k in range(13):
-            rec = fr.spectral_reconstruct(svd_onesided, h, sig1 * 10 ** (-k / 2))
+            rec = ref.spectral_reconstruct(svd_onesided, h, sig1 * 10 ** (-k / 2))
             d = fr.GridFunction(rec.values - truth.values, box)
             errs.append(fr.hs_norm(mach, d))
         errs = np.array(errs)
@@ -252,7 +252,7 @@ class TestSpectralScheme:
         sig1 = svd_onesided.sigmas[0]
         res = []
         for k in range(13):
-            rec = fr.spectral_reconstruct(svd_onesided, h, sig1 * 10 ** (-k / 2))
+            rec = ref.spectral_reconstruct(svd_onesided, h, sig1 * 10 ** (-k / 2))
             res.append(op_onesided.dual_norm(op_onesided.apply(rec) - h))
         res = np.array(res)
         assert np.all(np.diff(res) <= 1e-12 * res[0])
@@ -278,8 +278,8 @@ class TestTikhonovScheme:
         ]
         for alpha in (sig[0] ** 2, sig[0] ** 2 * 1e-3, sig[0] ** 2 * 1e-6):
             v, _ = fr.tikhonov_reconstruct(op_onesided, h, alpha)
-            coef = (sig / (sig**2 + alpha)) * svd_onesided.range_coefficients(h)
-            v_ff = svd_onesided.domain_modes @ coef
+            coef = (sig / (sig**2 + alpha)) * ref.range_coefficients(svd_onesided, h)
+            v_ff = ref.domain_modes(svd_onesided) @ coef
             d = v.values[op_onesided.sets.omega] - v_ff
             rel = np.sqrt(d @ gram @ d) / np.sqrt(v_ff @ gram @ v_ff)
             assert rel <= 1e-8
@@ -310,12 +310,12 @@ class TestTikhonovScheme:
         # to the same limit once the matched cutoffs pass its deepest mode
         sig = svd_onesided.sigmas
         weights = np.array([1.0, -0.7, 0.4, 0.2, -0.1])
-        truth_om = svd_onesided.domain_modes[:, :5] @ weights
+        truth_om = ref.domain_modes(svd_onesided)[:, :5] @ weights
         truth = op_onesided.embed_domain(truth_om)
         h = op_onesided.apply(truth)
         alpha_spec = np.sqrt(sig[4] * sig[5])
         alpha_tik = 1e-5 * sig[4] ** 2
-        v_spec = fr.spectral_reconstruct(svd_onesided, h, alpha_spec)
+        v_spec = ref.spectral_reconstruct(svd_onesided, h, alpha_spec)
         v_tik, _ = fr.tikhonov_reconstruct(op_onesided, h, alpha_tik)
         d = fr.GridFunction(v_spec.values - v_tik.values, box)
         base = fr.hs_norm(mach, truth)
@@ -384,8 +384,8 @@ class TestMinimalL2Scheme:
             res = fr.minimal_l2_reconstruct(mach, sets_pipeline, h, alpha, tol=1e-8)
             # window residual certificate, via the independent dual-norm routine
             rvals = np.zeros(box.size)
-            rvals[w2] = (mach.frac_lap @ res.phi_hat.values)[w2] - h
-            resid = fr.hminus_s_norm(mach, fr.GridFunction(rvals, box), w2)
+            rvals[w2] = ref.full_product(mach.frac_lap, res.phi_hat.values)[w2] - h
+            resid = ref.hminus_s_norm(mach, fr.GridFunction(rvals, box), w2)
             assert resid <= alpha * 1.01
             # energy identity
             half_u = 0.5 * box.spacing * np.sum(res.u_hat.values[sets_pipeline.omega] ** 2)
@@ -398,7 +398,7 @@ class TestMinimalL2Scheme:
         mask = np.ones(box.size, dtype=bool)
         mask[sets_pipeline.omega] = False
         vals[mask] = 0.0
-        h = (mach.frac_lap @ vals)[sets_pipeline.w2]
+        h = ref.full_product(mach.frac_lap, vals)[sets_pipeline.w2]
         b = ws.data_vector(h)
         alpha = 0.4 * np.linalg.norm(b)
         res = fr.minimal_l2_reconstruct(mach, sets_pipeline, h, alpha, tol=1e-10)
