@@ -141,8 +141,9 @@ def _parse_problem(doc: dict) -> dict:
         raise ProblemValidationError("tau must lie in (0,1)")
     if not (0.0 < cfg["s"] < 1.0):
         raise ProblemValidationError("s must lie in (0,1)")
-    if cfg["noise"]["level"] < 0:
-        raise ProblemValidationError("noise.level must be >= 0")
+    for key in ("level", "seed"):
+        if cfg["noise"][key] < 0:
+            raise ProblemValidationError(f"noise.{key} must be >= 0")
     if "g" in doc:
         _require_keys(doc["g"], {"path"}, set(), "g")
         cfg["g"] = {"path": str(doc["g"]["path"])}
@@ -261,13 +262,17 @@ def _parse_scheme(obj: dict) -> dict:
     return {"name": name, "alpha_schedule": sched, "stop_rule": stop}
 
 
+def _load_json(path: str):
+    """The document in a JSON file; a file that is not UTF-8 JSON is refused by name."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # json.JSONDecodeError or UnicodeDecodeError
+        raise ProblemValidationError(f"{path}: malformed JSON: {exc}") from exc
+
+
 def load_problem(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProblemValidationError(f"malformed JSON: {exc}") from exc
-    return parse_problem(doc)
+    return parse_problem(_load_json(path))
 
 
 def serialize_problem(cfg: dict) -> str:
@@ -296,10 +301,12 @@ def _setup(args, cfg: dict | None = None):
     """A verb's validated problem (`cfg` re-parsed when given, else loaded
     from args.problem), its machinery and index sets, and the run seed."""
     cfg = load_problem(args.problem) if cfg is None else parse_problem(cfg)
+    seed = cfg["noise"]["seed"] if args.seed is None else args.seed
+    if seed < 0:
+        raise ProblemValidationError(f"--seed must be >= 0, got {seed}")
     box = build_box(cfg["box"]["radius"], cfg["box"]["points"])
     m = build_sobolev(box, FractionalOrder(cfg["s"]))
     sets = build_index_sets(box, *(cfg[name]["intervals"] for name in ("omega", "w1", "w2")))
-    seed = cfg["noise"]["seed"] if args.seed is None else args.seed
     return cfg, m, sets, seed
 
 
@@ -349,8 +356,7 @@ def _profile_values(profile: dict, x: np.ndarray) -> np.ndarray:
 
 def _read_values(path: str) -> np.ndarray:
     """The "values" list of a JSON data file, checked to hold finite numbers."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     vals = data.get("values") if isinstance(data, dict) else None
     if not (isinstance(vals, list) and all(map(_is_number, vals))):
         raise ProblemValidationError(f'{path}: "values" must be a list of finite numbers')

@@ -31,14 +31,15 @@ schedule and returns its K iterates as the columns of one matrix:
   optimal control into the interior reconstruction, which carries an
   alpha-level residual certificate.  The gains 1 / (d + mu_k) differ per
   alpha only through mu_k, so one vectorized bisection finds every mu_k
-  of a schedule.  Its workspace is the operator's: it reads the window's
-  coupling block B^T and Gram factor Q, so W is gathered and factored once.
+  of a schedule.  It starts from the filters' datum Q h, and its workspace
+  reads the operator's B^T and Q, so W is gathered and factored once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -171,16 +172,16 @@ def _rank_adaptive_svd(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
 class RegularizerConfig:
     """Scheme selection and regularization schedule.
 
-    stop_rule is ("fixed_list",) to run the whole schedule or
-    ("discrepancy", delta) to stop at the first alpha whose window residual
-    drops to delta in the dual norm.
+    stop_rule is ("fixed_list",) to run the whole schedule or ("discrepancy",
+    delta) to stop at the first alpha whose window residual drops to delta
+    in the dual norm.  The minimal-L2 tolerance and step cap are constants.
     """
 
     scheme: str = "tikhonov"
     alpha_schedule: np.ndarray | None = None
     stop_rule: tuple = ("fixed_list",)
-    inner_solver_tol: float = MINIMAL_L2_TOL
-    max_inner_iterations: int = MINIMAL_L2_MAX_STEPS
+    inner_solver_tol: ClassVar[float] = MINIMAL_L2_TOL
+    max_inner_iterations: ClassVar[int] = MINIMAL_L2_MAX_STEPS
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -196,8 +197,6 @@ class RegularizerConfig:
             raise ValueError(f"stop rule must be ('fixed_list',) or ('discrepancy', delta): {rule!r}")
         if len(rule) == 2 and not (np.isfinite(rule[1]) and rule[1] >= 0):
             raise ValueError("discrepancy delta must be finite and >= 0")
-        if not (0.0 < self.inner_solver_tol < 1.0 and self.max_inner_iterations >= 1):
-            raise ValueError("need 0 < inner_solver_tol < 1 and max_inner_iterations >= 1")
 
 
 def default_alpha_schedule(sigma1: float, kmax: int = 12, step: float = 0.5) -> np.ndarray:
@@ -249,16 +248,17 @@ def solve_schedule(
     spectral and tikhonov are one filtered solve R^-1 V diag(f_k) U^T Q h
     with filter factors f_k(sigma) = 1[sigma >= alpha_k] / sigma or
     sigma / (sigma^2 + alpha_k).  minimal_l2 is one secular bisection (see
-    minimal_l2_reconstruct) with cfg's tolerance and step cap; its schedule
-    ends before the first alpha without a certified minimizer, so it may
-    return fewer columns, and it raises OptimizerNonConvergence when that
-    is the first alpha.
+    minimal_l2_reconstruct) on the same datum Q h, with the tolerance
+    MINIMAL_L2_TOL and the step cap MINIMAL_L2_MAX_STEPS; its schedule ends
+    before the first alpha without a certified minimizer, so it may return
+    fewer columns, and it raises OptimizerNonConvergence when that is the
+    first alpha.
     """
-    window_vals = np.asarray(window_vals, dtype=float)
+    qh = op.range_weight @ np.asarray(window_vals, dtype=float)
     if cfg.scheme == "minimal_l2":
         ws = op.minimal_l2_workspace
-        tol, cap = cfg.inner_solver_tol, cfg.max_inner_iterations
-        return ws.phi_map @ _minimal_l2_solve(ws, window_vals, alphas, tol, cap)[0]
+        y = _minimal_l2_solve(ws, qh, alphas, MINIMAL_L2_TOL, MINIMAL_L2_MAX_STEPS)[0]
+        return ws.phi_map @ y
     u, sig, vt = op.svd_factors
     a = np.asarray(alphas, dtype=float)[:, None]
     if cfg.scheme == "spectral":
@@ -266,7 +266,6 @@ def solve_schedule(
         gains = np.divide(1.0, sig, out=np.zeros(keep.shape), where=keep)
     else:
         gains = sig / (sig**2 + a)
-    qh = op.range_weight @ window_vals
     return op.domain_chol_inv @ (vt.T @ (gains * (u.T @ qh)).T)
 
 
@@ -324,42 +323,37 @@ class _MinimalL2Workspace:
     """Matrices of the control problem on an operator's (omega, w2) pair.
 
     The coupling block A[omega, W] is the operator's matrix transposed and
-    the window's inverse Cholesky factor C^-1 = Q^T / h its range weight
-    rescaled, so the window is gathered and factored once per geometry.
+    the window's inverse Cholesky factor C^-1 = Q^T / h (G_W = C^T C) its
+    range weight rescaled, so the window is gathered and factored once per
+    geometry.  A control is f = C^-1 y = Q^T y / h in the Sobolev
+    coordinates y, whose data vector h C^-T g = Q g is the filters' datum.
     """
 
     def __init__(self, op: UcpOperator):
-        self.spacing = op.machinery.box.spacing
+        spacing = op.machinery.box.spacing
         a_oo = op.machinery.frac_lap[np.ix_(op.sets.omega, op.sets.omega)]
         # control-to-state map in omega coordinates (zero potential)
         self.state_map = _read_only(-np.linalg.solve(a_oo, op.matrix.T))
-        # C^{-1} = L^{-T} = Q^T / h (upper triangular) with G_W = C^T C = L L^T
-        self.chol_inv = _read_only(op.range_weight.T / self.spacing)
-        tc = self.state_map @ self.chol_inv
+        tc = self.state_map @ (op.range_weight.T / spacing)  # state_map C^-1
         # Sobolev control coordinates y to the dual state phi = -A_oo^{-1} u
         self.phi_map = _read_only(-np.linalg.solve(a_oo, tc))
-        self.smooth_hessian = _read_only(self.spacing * (tc.T @ tc))
+        self.smooth_hessian = _read_only(spacing * (tc.T @ tc))
         # eigenvalues at or below n * eps * d_max span the floating-point null space
         d, eigvecs = np.linalg.eigh(self.smooth_hessian)
         d[d <= op.n_window * np.finfo(float).eps * d[-1]] = 0.0
         self.eigvals, self.eigvecs = _read_only(d), _read_only(eigvecs)
 
-    def data_vector(self, window_vals: np.ndarray) -> np.ndarray:
-        # Riesz coordinates of f -> (h, f)_L2(W) in the window Sobolev geometry
-        return self.spacing * (self.chol_inv.T @ np.asarray(window_vals))
-
 
 def _minimal_l2_solve(
-    ws: _MinimalL2Workspace, window_vals: np.ndarray, alphas, tol: float, max_iterations: int
+    ws: _MinimalL2Workspace, b: np.ndarray, alphas, tol: float, max_iterations: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Minimizers y_k of 1/2 y'Sy - b'y + alpha_k ||y|| (see
     minimal_l2_reconstruct) for a decreasing schedule, as the columns of Y,
-    with their residuals ||S y_k - b|| and bisection steps.  One vector
-    bisection step serves every alpha still short of `tol`.  The schedule
-    ends before the first alpha without a certified minimizer, and raises
-    OptimizerNonConvergence when that is the first alpha."""
+    with their residuals ||S y_k - b|| and bisection steps, for b = Q h.
+    One vector bisection step serves every alpha still short of `tol`.  The
+    schedule ends before the first alpha without a certified minimizer, and
+    raises OptimizerNonConvergence when that is the first alpha."""
     alphas = np.asarray(alphas, dtype=float)
-    b = ws.data_vector(window_vals)
     d, beta = ws.eigvals, ws.eigvecs.T @ b
     nb, null = float(np.linalg.norm(b)), float(np.linalg.norm(beta[d == 0.0]))
     # the null-space component does not depend on alpha: it bounds the schedule
@@ -436,20 +430,23 @@ def minimal_l2_reconstruct(
     space of S (eigenvalues <= |W| eps d_max) has norm >= alpha: J is then
     unbounded below.  It also raises when ||S y - b|| on the formed S
     exceeds alpha (1 + `tol`): the zeroed eigenvalues still act there on
-    the null components beta_i / mu of y, large when mu is tiny.
+    the null components beta_i / mu of y, large when mu is tiny.  Raises
+    ValueError unless 0 < tol < 1, max_iterations >= 1 and alpha is finite
+    and positive.
     """
-    cfg = RegularizerConfig(scheme="minimal_l2", alpha_schedule=[alpha],
-                            inner_solver_tol=tol, max_inner_iterations=max_iterations)
-    ws = assemble_ucp(m, sets).minimal_l2_workspace
-    ys, residuals, steps = _minimal_l2_solve(ws, window_vals, [alpha], tol, max_iterations)
-    y, f_w = ys[:, 0], ws.chol_inv @ ys[:, 0]
+    if not (0.0 < tol < 1.0 and max_iterations >= 1):
+        raise ValueError("need 0 < tol < 1 and max_iterations >= 1")
+    RegularizerConfig(scheme="minimal_l2", alpha_schedule=[alpha])  # checks alpha
+    op, h = assemble_ucp(m, sets), m.box.spacing
+    ws, b = op.minimal_l2_workspace, op.range_weight @ np.asarray(window_vals, dtype=float)
+    ys, residuals, steps = _minimal_l2_solve(ws, b, [alpha], tol, max_iterations)
+    y, f_w = ys[:, 0], op.range_weight.T @ ys[:, 0] / h
     f_full, phi_full = np.zeros(m.box.size), np.zeros(m.box.size)
     f_full[sets.w2] = f_w
     u_full = f_full.copy()
     u_full[sets.omega] = ws.state_map @ f_w
     phi_full[sets.omega] = ws.phi_map @ y
 
-    h = m.box.spacing
     j_val = (0.5 * h * float(np.sum(u_full[sets.omega] ** 2))
              - h * float(np.asarray(window_vals) @ f_w) + alpha * float(np.linalg.norm(y)))
     return MinimalL2Result(

@@ -238,8 +238,9 @@ def minimal_l2_oracle(
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     w = sets.w2
-    ws = assemble_ucp(m, sets).minimal_l2_workspace
-    b = ws.data_vector(window_vals)
+    op = assemble_ucp(m, sets)
+    ws = op.minimal_l2_workspace
+    b = op.range_weight @ np.asarray(window_vals, dtype=float)
     d, beta = ws.eigvals, ws.eigvecs.T @ b
     nb, null = float(np.linalg.norm(b)), float(np.linalg.norm(beta[d == 0.0]))
 
@@ -270,7 +271,8 @@ def minimal_l2_oracle(
     if residual > alpha * (1.0 + tol):
         raise OptimizerNonConvergence(f"residual {residual / alpha:.8f} alpha at alpha={alpha:.3e}")
 
-    f_w = ws.chol_inv @ y
+    h = m.box.spacing
+    f_w = (op.range_weight.T / h) @ y
     f_full = np.zeros(m.box.size)
     f_full[w] = f_w
     u_full = f_full.copy()
@@ -279,7 +281,6 @@ def minimal_l2_oracle(
     a_oo = m.frac_lap[np.ix_(sets.omega, sets.omega)]
     phi_full[sets.omega] = np.linalg.solve(a_oo, -u_full[sets.omega])
 
-    h = m.box.spacing
     j_val = (
         0.5 * h * float(np.sum(u_full[sets.omega] ** 2))
         - h * float(np.asarray(window_vals) @ f_w)

@@ -14,6 +14,7 @@ import scipy.linalg as sla
 
 import fracrec as fr
 import fracrec.cli as cli
+from fracrec.grid import bump_values
 from fracrec.cli import (
     EXIT_EIGENVALUE,
     EXIT_NONCONVERGENCE,
@@ -174,6 +175,61 @@ class TestMalformedInput:
         assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "values" in err[0]
+
+    # json's or the codec's message used to stand alone, naming neither the
+    # file nor the field it was read for
+    @pytest.mark.parametrize("text", [b"{not json", b"\xff{}"], ids=["json", "utf8"])
+    @pytest.mark.parametrize("role", ["g", "q", "problem"])
+    def test_undecodable_file_names_its_path(self, tmp_path, capsys, role, text):
+        fpath = tmp_path / f"{role}-data.json"
+        fpath.write_bytes(text)
+        doc = base_problem()
+        if role == "g":
+            doc["g"] = {"path": str(fpath)}
+        else:
+            doc["q"] = {"kind": "file", "params": {"path": str(fpath)}}
+        path = str(fpath) if role == "problem" else write_problem(tmp_path, doc)
+        assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {fpath}: malformed JSON")
+
+    @pytest.mark.parametrize("role", ["g", "q"])
+    def test_data_file_of_wrong_length_exits_1(self, tmp_path, capsys, role):
+        fpath = tmp_path / f"{role}-data.json"
+        fpath.write_text(json.dumps({"values": [0.5] * 7}))
+        doc = base_problem()
+        if role == "g":
+            doc["g"] = {"path": str(fpath)}
+        else:
+            doc["q"] = {"kind": "file", "params": {"path": str(fpath)}}
+        path = write_problem(tmp_path, doc)
+        assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "has 7 values" in err[0]
+
+    # a negative seed used to reach numpy, whose message names no field, or
+    # to pass unread: forward draws no noise
+    @pytest.mark.parametrize("verb", ["forward", "reconstruct"])
+    def test_negative_noise_seed_exits_1(self, tmp_path, capsys, verb):
+        doc = base_problem()
+        doc["noise"] = {"level": 1e-3, "seed": -1}
+        path = write_problem(tmp_path, doc)
+        out = tmp_path / "out.json"
+        assert main([verb, path, str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: noise.seed must be >= 0"] and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["stability", "--trials", "1"], ["reconstruct"],
+    ], ids=["stability", "reconstruct"])
+    def test_negative_seed_flag_exits_1(self, tmp_path, capsys, argv):
+        doc = base_problem()
+        doc["noise"]["level"] = 1e-3
+        path = write_problem(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main([argv[0], path, str(out), "--seed", "-3"] + argv[1:]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --seed") and not out.exists()
 
     @pytest.mark.parametrize("key, profile", [
         ("q", {"kind": "constant", "params": {"value": None}}),
@@ -394,6 +450,33 @@ class TestForwardCommand:
         g = np.array([float(v) for v in rep["g"]])
         assert np.isfinite(g).all()
         assert float(rep["interior_residual"]) <= 1e-8
+
+    def test_file_profiles_match_the_bump_profiles(self, tmp_path):
+        # a file holding a bump's node values stands in for the bump itself
+        doc = base_problem()
+        box = fr.build_box(doc["box"]["radius"], doc["box"]["points"])
+        sets = fr.build_index_sets(box, *(doc[k]["intervals"] for k in ("omega", "w1", "w2")))
+        doc_file = base_problem()
+        for key, nodes in (("q", sets.omega), ("f", sets.w1)):
+            p = doc[key]["params"]
+            vals = bump_values(box.nodes[nodes], p["center"], p["width"], p["amplitude"])
+            fpath = tmp_path / f"{key}.json"
+            fpath.write_text(json.dumps({"values": vals.tolist()}))
+            doc_file[key] = {"kind": "file", "params": {"path": str(fpath)}}
+        reps = []
+        for name, d in (("bump", doc), ("file", doc_file)):
+            out = tmp_path / f"fw-{name}.json"
+            assert main(["forward", write_problem(tmp_path, d, f"{name}.json"), str(out)]) == 0
+            reps.append(json.loads(out.read_text()))
+        assert reps[0]["u"] == reps[1]["u"] and reps[0]["g"] == reps[1]["g"]
+
+    def test_sine_datum_and_piecewise_potential_run(self, tmp_path):
+        doc = base_problem()
+        doc["f"] = {"kind": "sine", "params": {"mode": 2}}
+        doc["q"] = {"kind": "piecewise", "params": {"breaks": [0.0], "values": [1.0, 2.0]}}
+        out = tmp_path / "fw.json"
+        assert main(["forward", write_problem(tmp_path, doc), str(out)]) == EXIT_OK
+        assert float(json.loads(out.read_text())["interior_residual"]) <= 1e-8
 
     def test_eigenvalue_potential_exits_2(self, tmp_path):
         box = fr.build_box(16.0, 512)

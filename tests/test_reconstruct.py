@@ -141,7 +141,6 @@ class TestRecoverInterior:
         cfg = fr.RegularizerConfig(
             scheme="minimal_l2",
             alpha_schedule=hn * 10.0 ** (-np.arange(0, 5, dtype=float)),
-            max_inner_iterations=100_000,
         )
         v, trace = fr.recover_interior(op_pipeline, h, cfg)
         v_true = fr.GridFunction(sol.u.values - f.values, box)
@@ -157,13 +156,14 @@ class TestRecoverInterior:
         rec = fr.synthetic_measurement(mach, sets_pipeline, q, f)
         h = fr.measurement_to_h(mach, sets_pipeline, rec)
         h_noisy = h * (1.0 + 0.02 * rng.standard_normal(len(h)))
-        ws = fr.assemble_ucp(mach, sets_pipeline).minimal_l2_workspace
+        op = fr.assemble_ucp(mach, sets_pipeline)
+        ws, c_inv = op.minimal_l2_workspace, op.range_weight.T / mach.box.spacing
         for vals, scales in ((h, (1e-2, 1e-4)), (h_noisy, (1e-2,))):
-            b = ws.data_vector(vals)
+            b = op.range_weight @ vals
             for scale in scales:
                 alpha = scale * np.linalg.norm(b)
                 res = fr.minimal_l2_reconstruct(mach, sets_pipeline, vals, alpha)
-                y = sla.solve_triangular(ws.chol_inv, res.f_hat.values[sets_pipeline.w2])
+                y = sla.solve_triangular(c_inv, res.f_hat.values[sets_pipeline.w2])
                 kkt = ws.smooth_hessian @ y - b + alpha * y / np.linalg.norm(y)
                 assert np.linalg.norm(kkt) <= 1e-6 * alpha
                 # the root is approached from below: the residual never exceeds alpha
@@ -173,12 +173,12 @@ class TestRecoverInterior:
         # noisy data has a sizeable null-space component; every alpha either
         # has no minimizer or returns a point within the residual certificate
         q, f, _ = ground_truth
-        ws = fr.assemble_ucp(mach, sets_pipeline).minimal_l2_workspace
+        op = fr.assemble_ucp(mach, sets_pipeline)
         for level in (1e-4, 1e-2):
             rec = fr.synthetic_measurement(mach, sets_pipeline, q, f, noise_level=level, seed=3)
             h = fr.measurement_to_h(mach, sets_pipeline, rec)
             for k in range(1, 5):
-                alpha = np.linalg.norm(ws.data_vector(h)) * 10.0 ** -k
+                alpha = np.linalg.norm(op.range_weight @ h) * 10.0 ** -k
                 try:
                     res = fr.minimal_l2_reconstruct(mach, sets_pipeline, h, alpha)
                 except fr.OptimizerNonConvergence:
@@ -196,7 +196,6 @@ class TestRecoverInterior:
         cfg = fr.RegularizerConfig(
             scheme="minimal_l2",
             alpha_schedule=np.array([0.5 * hn, 1e-14 * hn]),
-            max_inner_iterations=2_000,
         )
         v, trace = fr.recover_interior(op_pipeline, h, cfg)
         assert v is not None
@@ -314,8 +313,8 @@ class TestMinimalL2ScheduleOracle:
         q, f, _ = ground_truth
         rec = fr.synthetic_measurement(mach, sets, q, f, noise_level=noise, seed=2)
         h = fr.measurement_to_h(mach, sets, rec)
-        ws = fr.assemble_ucp(mach, sets).minimal_l2_workspace
-        b = ws.data_vector(h)
+        op = fr.assemble_ucp(mach, sets)
+        ws, b = op.minimal_l2_workspace, op.range_weight @ h
         beta = ws.eigvecs.T @ b
         return h, float(np.linalg.norm(b)), float(np.linalg.norm(beta[ws.eigvals == 0.0]))
 

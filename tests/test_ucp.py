@@ -173,10 +173,11 @@ class TestSchemeArguments:
         with pytest.raises(ValueError, match="alpha"):
             self.SOLVERS[scheme](op_pipeline, h, alpha)
 
-    @pytest.mark.parametrize("kw", [{"tol": float("nan")}, {"max_iterations": 0}])
+    @pytest.mark.parametrize("kw", [{"tol": float("nan")}, {"max_iterations": 0},
+                                    {"tol": 0.0}, {"tol": -1e-8}, {"tol": 1.0}])
     def test_minimal_l2_tolerance_and_step_cap_checked(self, op_pipeline, rng, kw):
         h = rng.standard_normal(op_pipeline.n_window)
-        with pytest.raises(ValueError, match="inner_solver_tol"):
+        with pytest.raises(ValueError, match="tol < 1 and max_iterations >= 1"):
             self.SOLVERS["minimal_l2"](op_pipeline, h, 1e-3, **kw)
 
     def test_tikhonov_certificate_is_nan_on_nan_data(self, op_pipeline, rng):
@@ -392,18 +393,19 @@ class TestMinimalL2Scheme:
             assert abs(res.j_value + half_u) <= 1e-6 * max(half_u, 1e-300)
 
     def test_matches_secular_oracle(self, mach, sets_pipeline, box, rng):
-        ws = fr.assemble_ucp(mach, sets_pipeline).minimal_l2_workspace
+        op = fr.assemble_ucp(mach, sets_pipeline)
+        ws = op.minimal_l2_workspace
         src = random_omega_bump(box, rng)
         vals = src.values.copy()
         mask = np.ones(box.size, dtype=bool)
         mask[sets_pipeline.omega] = False
         vals[mask] = 0.0
         h = ref.full_product(mach.frac_lap, vals)[sets_pipeline.w2]
-        b = ws.data_vector(h)
+        b = op.range_weight @ h
         alpha = 0.4 * np.linalg.norm(b)
         res = fr.minimal_l2_reconstruct(mach, sets_pipeline, h, alpha, tol=1e-10)
         y_ref = secular_minimizer(ws.smooth_hessian, b, alpha)
-        f_ref = ws.chol_inv @ y_ref
+        f_ref = (op.range_weight.T / box.spacing) @ y_ref
         num = np.linalg.norm(res.f_hat.values[sets_pipeline.w2] - f_ref)
         assert num <= 1e-5 * np.linalg.norm(f_ref)
 
@@ -432,14 +434,15 @@ class TestMinimalL2Scheme:
     def test_null_component_decides_existence(self, mach, sets_pipeline):
         # a datum whose component in the control Hessian's numerical null
         # space has norm c: no minimizer below alpha = c, an exact one above
-        ws = fr.assemble_ucp(mach, sets_pipeline).minimal_l2_workspace
+        op = fr.assemble_ucp(mach, sets_pipeline)
+        ws = op.minimal_l2_workspace
         null = ws.eigvals == 0.0
         assert 0 < null.sum() < len(null)
         c = 0.1
         b = ws.eigvecs[:, ~null].sum(axis=1) / np.sqrt((~null).sum())
         b = b + c * ws.eigvecs[:, null][:, 0]
-        h = np.linalg.solve(ws.chol_inv.T, b) / ws.spacing
-        assert np.linalg.norm(ws.eigvecs[:, null].T @ ws.data_vector(h)) == pytest.approx(
+        h = np.linalg.solve(op.range_weight, b)  # the datum with Q h = b
+        assert np.linalg.norm(ws.eigvecs[:, null].T @ (op.range_weight @ h)) == pytest.approx(
             c, rel=1e-9
         )
         with pytest.raises(fr.OptimizerNonConvergence, match="no minimizer"):
@@ -459,12 +462,13 @@ class TestMinimalL2Scheme:
         f = np.zeros(box.size)
         f[sets.w1] = fr.smooth_bump(box, 4.5, 0.45).values[sets.w1]
         f = fr.GridFunction(f, box)
-        ws = fr.assemble_ucp(m, sets).minimal_l2_workspace
+        op = fr.assemble_ucp(m, sets)
+        ws = op.minimal_l2_workspace
         tol, returned = 1e-10, 0
         for level in (0.0, 1e-4, 1e-2):
             rec = fr.synthetic_measurement(m, sets, q, f, noise_level=level, seed=1)
             h = fr.measurement_to_h(m, sets, rec)
-            beta = ws.eigvecs.T @ ws.data_vector(h)
+            beta = ws.eigvecs.T @ (op.range_weight @ h)
             null = np.linalg.norm(beta[ws.eigvals == 0.0])
             for ratio in (0.6, 0.8, 0.9, 0.95, 0.99):
                 alpha = null / ratio
@@ -503,7 +507,7 @@ class TestMinimalL2Workspace:
 
     def test_arrays_are_read_only(self, op_pipeline):
         ws = op_pipeline.minimal_l2_workspace
-        for name in ("state_map", "chol_inv", "phi_map", "smooth_hessian", "eigvecs", "eigvals"):
+        for name in ("state_map", "phi_map", "smooth_hessian", "eigvecs", "eigvals"):
             assert not getattr(ws, name).flags.writeable, name
 
 
@@ -555,6 +559,31 @@ class TestRankAdaptiveSvd:
         assert not any(x.flags.writeable for x in a.svd_factors)
         assert svd_calls and a.weighted.shape not in svd_calls
 
+    def test_rejected_blocks_double_until_one_is_certified(self, box_4096, monkeypatch,
+                                                           svd_calls):
+        # with a first block of 16 at N = 4096 the 16- and 32-column blocks
+        # miss the rank-38 range and are rejected; the 64-column block passes
+        monkeypatch.setattr(fr.ucp, "SVD_BLOCK", 16)
+        op = fresh_operator(box_4096, "pipeline")
+        w, (u, s, vt) = op.weighted, op.svd_factors
+        assert svd_calls == [(k, w.shape[1]) for k in (16, 32, 64)]
+        big_s = np.linalg.svd(w, compute_uv=False)
+        tol = fr.ucp.RANK_RTOL * big_s[0]
+        r = op.numerical_rank
+        assert len(s) == 64 and r == int(np.sum(big_s > tol)) == 38
+        assert np.all(np.abs(s[:r] - big_s[:r]) <= tol)
+        assert np.linalg.norm(w - (u * s) @ vt) <= fr.ucp.RANK_RTOL * s[0]
+
+    def test_ladder_ends_in_the_full_svd(self, box, monkeypatch, svd_calls):
+        # with a first block of 8 at N = 512 the 8- and 16-column blocks are
+        # rejected, and the next block would span all 32 omega columns
+        monkeypatch.setattr(fr.ucp, "SVD_BLOCK", 8)
+        op = fresh_operator(box, "pipeline")
+        factors = op.svd_factors
+        assert svd_calls == [(8, 32), (16, 32), (56, 32)] and op.weighted.shape == (56, 32)
+        want = np.linalg.svd(op.weighted, full_matrices=False)
+        assert all(np.array_equal(a, b) for a, b in zip(factors, want))
+
     @pytest.mark.parametrize("scheme", ["spectral", "tikhonov"])
     def test_pipeline_matches_full_svd_oracle(self, box_4096, scheme):
         reports = []
@@ -605,14 +634,13 @@ class TestRegularizerConfig:
         with pytest.raises(ValueError, match="stop rule must be"):
             fr.RegularizerConfig(scheme="spectral", stop_rule="fixed_list")
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, 1.0, float("nan")])
-    def test_inner_solver_tol_outside_unit_interval_rejected(self, tol):
-        with pytest.raises(ValueError, match="inner_solver_tol"):
-            fr.RegularizerConfig(scheme="minimal_l2", inner_solver_tol=tol)
-
-    def test_max_inner_iterations_below_one_rejected(self):
-        with pytest.raises(ValueError, match="max_inner_iterations"):
-            fr.RegularizerConfig(scheme="minimal_l2", max_inner_iterations=0)
+    def test_minimal_l2_tolerance_and_step_cap_are_constants(self):
+        names = [f.name for f in dataclasses.fields(fr.RegularizerConfig)]
+        assert names == ["scheme", "alpha_schedule", "stop_rule"]
+        cfg = fr.RegularizerConfig(scheme="minimal_l2")
+        assert (cfg.inner_solver_tol, cfg.max_inner_iterations) == (1e-10, 200_000)
+        with pytest.raises(TypeError):
+            fr.RegularizerConfig(scheme="minimal_l2", inner_solver_tol=1e-8)
 
     def test_default_schedule_shape(self):
         sched = fr.default_alpha_schedule(2.0)
