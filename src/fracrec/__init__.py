@@ -41,7 +41,6 @@ from .ucp import (
     assemble_ucp,
     default_alpha_schedule,
     minimal_l2_reconstruct,
-    runge_approximate,
     solve_schedule,
     tikhonov_reconstruct,
     ucp_svd,

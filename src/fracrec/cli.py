@@ -302,8 +302,6 @@ def _setup(args, cfg: dict | None = None):
     from args.problem), its machinery and index sets, and the run seed."""
     cfg = load_problem(args.problem) if cfg is None else parse_problem(cfg)
     seed = cfg["noise"]["seed"] if args.seed is None else args.seed
-    if seed < 0:
-        raise ProblemValidationError(f"--seed must be >= 0, got {seed}")
     box = build_box(cfg["box"]["radius"], cfg["box"]["points"])
     m = build_sobolev(box, FractionalOrder(cfg["s"]))
     sets = build_index_sets(box, *(cfg[name]["intervals"] for name in ("omega", "w1", "w2")))
@@ -563,7 +561,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     # defaults live in main's namespace: a verb's would overwrite a value given before it
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="override the problem seed")
+                        help="override the problem seed (>= 0); only reconstruct, "
+                             "stability and compare draw noise")
     common.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
                         help="suppress progress chatter")
 
@@ -625,17 +624,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list | None = None) -> int:
     ap = _build_parser()
     args = ap.parse_args(argv, argparse.Namespace(seed=None, quiet=False))
+    # no error is an instance of two of these classes; ProblemValidationError is a ValueError
+    exit_codes = {ValueError: EXIT_VALIDATION, OSError: EXIT_VALIDATION,
+                  PipelineError: EXIT_VALIDATION, EigenvalueConditionError: EXIT_EIGENVALUE,
+                  OptimizerNonConvergence: EXIT_NONCONVERGENCE}
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ProblemValidationError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
-    except (ProblemValidationError, OSError, ValueError, PipelineError) as exc:
+    except tuple(exit_codes) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except EigenvalueConditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EIGENVALUE
-    except OptimizerNonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        return next(code for cls, code in exit_codes.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

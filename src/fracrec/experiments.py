@@ -34,6 +34,7 @@ from .grid import (
     build_index_sets,
     build_sobolev,
     hs_norm,
+    l2_norm,
     smooth_bump,
 )
 from .ucp import RegularizerConfig, UcpOperator
@@ -286,10 +287,8 @@ def stability_sweep(
     h_norm = op.dual_norm(h_exact)
 
     def weak_err(v: GridFunction) -> float:
-        d = GridFunction(v.values - truth.values, m.box)
-        if m_weak is None:
-            return float(np.sqrt(m.box.spacing * np.sum(d.values**2)))
-        return hs_norm(m_weak, d)
+        d = v.values - truth.values
+        return l2_norm(m, d) if m_weak is None else hs_norm(m_weak, GridFunction(d, m.box))
 
     def one_trial(i: int, t: int) -> float:
         lvl = noise_levels[i]

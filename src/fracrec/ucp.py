@@ -43,7 +43,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .forward import Potential, solve_dirichlet
 from .grid import GridFunction, IndexSets, SobolevMachinery
 
 __all__ = [
@@ -56,7 +55,6 @@ __all__ = [
     "solve_schedule",
     "tikhonov_reconstruct",
     "minimal_l2_reconstruct",
-    "runge_approximate",
     "default_alpha_schedule",
 ]
 
@@ -459,47 +457,3 @@ def minimal_l2_reconstruct(
         converged=True,
     )
 
-
-def runge_approximate(
-    m: SobolevMachinery,
-    sets: IndexSets,
-    q: Potential,
-    target: np.ndarray,
-    control_dim: int,
-) -> tuple[GridFunction, float]:
-    """Least-squares approximation of an interior target by forward states.
-
-    Searches controls in the span of the first `control_dim` sine modes on
-    the w1 window (a nested family), minimizing the interior L2 distance
-    between the target (values on omega) and the restricted state.  Returns
-    the minimum-norm control and the attained L2(omega) error.
-    """
-    if control_dim < 1:
-        raise ValueError("control dimension must be >= 1")
-    target = np.asarray(target, dtype=float)
-    if target.shape != sets.omega.shape:
-        raise ValueError("target must give one value per omega node")
-    x = m.box.nodes[sets.w1]
-    h = m.box.spacing
-    a, b = x[0] - h / 2.0, x[-1] + h / 2.0
-    tloc = (x - a) / (b - a)
-    # the sampled sine family spans at most |w1| dimensions; clipping keeps
-    # the subspaces exactly nested as control_dim grows
-    control_dim = min(control_dim, len(x))
-    basis = np.stack([np.sin((k + 1) * np.pi * tloc) for k in range(control_dim)], axis=1)
-
-    columns = np.empty((len(sets.omega), control_dim))
-    for k in range(control_dim):
-        fk = np.zeros(m.box.size)
-        fk[sets.w1] = basis[:, k]
-        sol = solve_dirichlet(m, sets, q, GridFunction(fk, m.box))
-        columns[:, k] = sol.u.values[sets.omega]
-
-    sqh = np.sqrt(h)
-    # minimum-norm least squares, cutting singular values at eps * max(shape)
-    rtol = np.finfo(float).eps * max(columns.shape)
-    coef = np.linalg.pinv(sqh * columns, rtol=rtol) @ (sqh * target)
-    err = float(np.sqrt(h * np.sum((target - columns @ coef) ** 2)))
-    f_full = np.zeros(m.box.size)
-    f_full[sets.w1] = basis @ coef
-    return GridFunction(f_full, m.box), err

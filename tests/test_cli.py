@@ -379,6 +379,18 @@ class TestGlobalFlags:
         else:
             assert runs[0][1] == ""
 
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize("verb", ["forward", "reconstruct", "spectrum", "instability",
+                                      "stability", "compare"])
+    def test_negative_seed_refused_on_every_verb(self, tmp_path, capsys, verb, before):
+        out = tmp_path / "out"
+        args = ([str(out), "--R", "13"] if verb == "instability"
+                else [write_problem(tmp_path, base_problem()), str(out)])
+        argv = ["--seed", "-3", verb] + args if before else [verb] + args + ["--seed", "-3"]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == ["error: --seed must be >= 0, got -3"]
+        assert not out.exists()
+
 
 class TestOsErrors:
     def test_directory_as_problem_exits_1(self, tmp_path, capsys):
@@ -724,6 +736,15 @@ class TestInstabilityCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "kmax 12" in err[0]
         assert not out.exists()
+
+    def test_valid_seed_is_ignored(self, tmp_path):
+        # the verb draws no noise, so a seed changes nothing
+        runs = []
+        for name, seed in (("a.csv", []), ("b.csv", ["--seed", "5"])):
+            out = tmp_path / name
+            code = main(["instability", str(out), "--R", "13", "--kmax", "8", "--quiet"] + seed)
+            runs.append((code, out.read_bytes()))
+        assert runs[0] == runs[1]
 
 
 class TestStabilityCommand:
