@@ -28,9 +28,9 @@ from .grid import (
 )
 from .forward import (
     EigenvalueConditionError,
-    ForwardSolution,
     Potential,
     check_dirichlet_uniqueness,
+    solve_diagnostics,
     solve_dirichlet,
 )
 from .ucp import (

@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .forward import EigenvalueConditionError, Potential, solve_dirichlet
+from .forward import EigenvalueConditionError, Potential, solve_diagnostics, solve_dirichlet
 from .grid import (
     FractionalOrder,
     GridFunction,
@@ -285,16 +285,19 @@ def config_hash(cfg: dict) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
+    """Write `text` to `path` by a temp file; an OSError names `path`."""
+    d, tmp = os.path.dirname(os.path.abspath(path)), None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None:
             os.unlink(tmp)
-        raise
 
 
 def _setup(args, cfg: dict | None = None):
@@ -419,13 +422,13 @@ def _measurement(cfg: dict, m, sets, seed: int) -> MeasurementRecord:
 
 def _cmd_forward(args) -> int:
     cfg, m, sets, _ = _setup(args)
-    sol = solve_dirichlet(m, sets, _make_potential(cfg, m, sets), _make_datum(cfg, m, sets))
+    q, f = _make_potential(cfg, m, sets), _make_datum(cfg, m, sets)
+    u = solve_dirichlet(m, sets, q, f)
     _write_json(args.out, cfg, m.box, {
-        "interior_residual": _fmt(sol.interior_residual),
-        "solver_conditioning": _fmt(sol.solver_conditioning),
-        "u": [_fmt(v) for v in sol.u.values],
+        **{k: _fmt(v) for k, v in solve_diagnostics(m, sets, q, f, u).items()},
+        "u": [_fmt(v) for v in u.values],
         "w2_nodes": [_fmt(v) for v in m.box.nodes[sets.w2]],
-        "g": [_fmt(v) for v in m.frac_lap.rows(sets.w2, sol.u.values)],
+        "g": [_fmt(v) for v in m.frac_lap.rows(sets.w2, u.values)],
     })
     return EXIT_OK
 

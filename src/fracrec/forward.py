@@ -4,7 +4,8 @@ Given exterior values f and a potential q on the interior region, the
 discrete state u satisfies the interior collocation equations
 (A u)|_omega + q * u|_omega = 0 with u = f on the exterior, where A is the
 fractional Laplacian matrix.  The measurement map, f to (A u) restricted to
-an exterior window, is formed from u by `reconstruct.synthetic_measurement`.
+an exterior window, is formed from u by `reconstruct.synthetic_measurement`;
+the forward report's two norms of u, by `solve_diagnostics`.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ from .grid import (
 
 __all__ = [
     "Potential",
-    "ForwardSolution",
     "EigenvalueConditionError",
     "check_dirichlet_uniqueness",
     "solve_dirichlet",
+    "solve_diagnostics",
 ]
 
 # relative threshold on the smallest singular value of the interior block
@@ -47,15 +48,6 @@ class Potential:
         self.values = np.asarray(self.values, dtype=float)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("potential has non-finite values")
-
-
-@dataclass
-class ForwardSolution:
-    """State u together with its solve diagnostics."""
-
-    u: GridFunction
-    interior_residual: float
-    solver_conditioning: float
 
 
 def _interior_matrix(m: SobolevMachinery, sets: IndexSets, q: Potential) -> np.ndarray:
@@ -87,7 +79,7 @@ def check_dirichlet_uniqueness(
 
 def solve_dirichlet(
     m: SobolevMachinery, sets: IndexSets, q: Potential, f: GridFunction
-) -> ForwardSolution:
+) -> GridFunction:
     """Solve the exterior-value problem for the state u.
 
     f must be supported in the exterior; the returned u equals f on every
@@ -105,11 +97,16 @@ def solve_dirichlet(
     rhs = -m.frac_lap.rows(sets.omega, f.values)
     u_vals = f.values.copy()
     u_vals[sets.omega] = np.linalg.solve(check["block"], rhs)
-    u = GridFunction(u_vals, m.box)
+    return GridFunction(u_vals, m.box)
 
-    res_vec = m.frac_lap.rows(sets.omega, u_vals) + q.values * u_vals[sets.omega]
-    un = hs_norm(m, u)
-    residual = l2_norm(m, res_vec) / un if un > 0 else 0.0
-    fn = hs_norm(m, f)
-    conditioning = un / fn if fn > 0 else 0.0
-    return ForwardSolution(u=u, interior_residual=residual, solver_conditioning=conditioning)
+
+def solve_diagnostics(
+    m: SobolevMachinery, sets: IndexSets, q: Potential, f: GridFunction, u: GridFunction
+) -> dict:
+    """Report-only diagnostics of the state u = solve_dirichlet(m, sets, q, f):
+    "interior_residual", the L2 norm of the interior equations' residual over
+    ||u||_{H^s}, and "solver_conditioning", ||u||_{H^s} / ||f||_{H^s}."""
+    res_vec = m.frac_lap.rows(sets.omega, u.values) + q.values * u.values[sets.omega]
+    un, fn = hs_norm(m, u), hs_norm(m, f)
+    return {"interior_residual": l2_norm(m, res_vec) / un if un > 0 else 0.0,
+            "solver_conditioning": un / fn if fn > 0 else 0.0}

@@ -234,7 +234,7 @@ def synthetic_measurement(
     """
     if not noise_level >= 0:
         raise ValueError("noise level must be >= 0")
-    g = m.frac_lap.rows(sets.w2, solve_dirichlet(m, sets, q, f).u.values)
+    g = m.frac_lap.rows(sets.w2, solve_dirichlet(m, sets, q, f).values)
     if noise_level > 0:
         rng = np.random.default_rng(seed)
         g = g + rng.standard_normal(len(g)) * (noise_level * float(np.abs(g).max()))

@@ -151,8 +151,8 @@ def dtn_apply(
     """Measurement map: values of A u on the node set `where` (inside the exterior)."""
     if not np.isin(where, exterior(m.box, sets)).all():
         raise ValueError("measurement nodes must lie in the exterior")
-    sol = solve_dirichlet(m, sets, q, f)
-    return m.frac_lap.rows(where, sol.u.values)
+    u = solve_dirichlet(m, sets, q, f)
+    return m.frac_lap.rows(where, u.values)
 
 
 def bq_eval(
@@ -377,8 +377,8 @@ def runge_approximate(
     for k in range(control_dim):
         fk = np.zeros(m.box.size)
         fk[sets.w1] = basis[:, k]
-        sol = solve_dirichlet(m, sets, q, GridFunction(fk, m.box))
-        columns[:, k] = sol.u.values[sets.omega]
+        u = solve_dirichlet(m, sets, q, GridFunction(fk, m.box))
+        columns[:, k] = u.values[sets.omega]
 
     sqh = np.sqrt(h)
     # minimum-norm least squares, cutting singular values at eps * max(shape)

@@ -408,6 +408,19 @@ class TestOsErrors:
         assert len(err) == 1 and err[0].startswith("error:")
         assert out.is_dir() and not list(tmp_path.rglob(".tmp-*~"))
 
+    @pytest.mark.parametrize("target, reason", [
+        ("missing/r.json", "No such file or directory"),
+        ("out", "Is a directory"),
+    ])
+    def test_output_error_names_the_given_path(self, tmp_path, capsys, target, reason):
+        path = write_problem(tmp_path, base_problem())
+        (tmp_path / "out").mkdir()
+        out = str(tmp_path / target)
+        assert main(["reconstruct", path, out]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: cannot write {out}: {reason}"]
+        assert not list(tmp_path.rglob(".tmp-*~"))
+
 
 class TestBlasThreadDefault:
     @pytest.mark.parametrize("overrides, want", [

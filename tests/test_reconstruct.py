@@ -42,8 +42,8 @@ def deep_spectral(op, kmax=24):
 def ground_truth(box, mach, sets_pipeline):
     q = pipeline_potential(box, sets_pipeline)
     f = pipeline_datum(box, sets_pipeline)
-    sol = fr.solve_dirichlet(mach, sets_pipeline, q, f)
-    return q, f, sol
+    u = fr.solve_dirichlet(mach, sets_pipeline, q, f)
+    return q, f, u
 
 
 class TestMeasurementToH:
@@ -57,12 +57,28 @@ class TestMeasurementToH:
     def test_synthetic_h_is_window_image_of_interior_part(
         self, mach, sets_pipeline, box, ground_truth
     ):
-        q, f, sol = ground_truth
+        q, f, u = ground_truth
         rec = fr.synthetic_measurement(mach, sets_pipeline, q, f)
         h = fr.measurement_to_h(mach, sets_pipeline, rec)
-        v = sol.u.values - f.values
+        v = u.values - f.values
         lv = ref.full_product(mach.frac_lap, v)[sets_pipeline.w2]
         assert np.abs(h - lv).max() <= 1e-10 * np.abs(lv).max()
+
+    def test_synthesis_forms_no_forward_diagnostics(
+        self, mach, sets_pipeline, ground_truth, monkeypatch
+    ):
+        # g is the window image of the state alone: no H^s norm is formed
+        calls, real = [], fr.forward.hs_norm
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fr.forward, "hs_norm", counting)
+        q, f, u = ground_truth
+        rec = fr.synthetic_measurement(mach, sets_pipeline, q, f)
+        assert len(calls) == 0
+        assert np.array_equal(rec.g, mach.frac_lap.rows(sets_pipeline.w2, u.values))
 
     def test_additive_noise_shifts_h_exactly(self, mach, sets_pipeline, box, rng):
         f = pipeline_datum(box, sets_pipeline)
@@ -93,10 +109,10 @@ class TestRecoverInterior:
     def test_exact_synthetic_error_bound(
         self, mach, sets_pipeline, op_pipeline, box, ground_truth
     ):
-        q, f, sol = ground_truth
+        q, f, u = ground_truth
         rec = fr.synthetic_measurement(mach, sets_pipeline, q, f)
         h = fr.measurement_to_h(mach, sets_pipeline, rec)
-        v_true = fr.GridFunction(sol.u.values - f.values, box)
+        v_true = fr.GridFunction(u.values - f.values, box)
         base = fr.hs_norm(mach, v_true)
         cfg = deep_tikhonov(op_pipeline)
         _, trace = fr.recover_interior(op_pipeline, h, cfg)
@@ -134,7 +150,7 @@ class TestRecoverInterior:
     def test_minimal_l2_scheme_in_pipeline(
         self, mach, sets_pipeline, op_pipeline, box, ground_truth
     ):
-        q, f, sol = ground_truth
+        q, f, u = ground_truth
         rec = fr.synthetic_measurement(mach, sets_pipeline, q, f)
         h = fr.measurement_to_h(mach, sets_pipeline, rec)
         hn = op_pipeline.dual_norm(h)
@@ -143,7 +159,7 @@ class TestRecoverInterior:
             alpha_schedule=hn * 10.0 ** (-np.arange(0, 5, dtype=float)),
         )
         v, trace = fr.recover_interior(op_pipeline, h, cfg)
-        v_true = fr.GridFunction(sol.u.values - f.values, box)
+        v_true = fr.GridFunction(u.values - f.values, box)
         err = fr.hs_norm(mach, fr.GridFunction(v.values - v_true.values, box))
         assert err <= fr.hs_norm(mach, v_true)  # coarse sanity: better than zero guess
         assert [r["residual_dual"] for r in trace] == sorted(
@@ -389,8 +405,8 @@ class TestQuotient:
     def test_recovers_potential_from_true_state(
         self, mach, sets_pipeline, ground_truth
     ):
-        q, f, sol = ground_truth
-        q_vals, mask = fr.quotient_q(mach, sets_pipeline, sol.u, tau=1e-3)
+        q, f, u = ground_truth
+        q_vals, mask = fr.quotient_q(mach, sets_pipeline, u, tau=1e-3)
         rel = np.abs(q_vals[~mask] - q.values[~mask]).max() / np.abs(q.values).max()
         assert rel <= 1e-6
         assert mask.mean() <= 0.05
@@ -398,10 +414,10 @@ class TestQuotient:
     def test_zero_potential_ground_truth(self, mach, sets_pipeline, box):
         q0 = fr.Potential(np.zeros(len(sets_pipeline.omega)))
         f = pipeline_datum(box, sets_pipeline)
-        sol = fr.solve_dirichlet(mach, sets_pipeline, q0, f)
-        q_vals, mask = fr.quotient_q(mach, sets_pipeline, sol.u, tau=1e-3)
-        au_full = ref.full_product(mach.frac_lap, sol.u.values)
-        u_om = sol.u.values[sets_pipeline.omega]
+        u = fr.solve_dirichlet(mach, sets_pipeline, q0, f)
+        q_vals, mask = fr.quotient_q(mach, sets_pipeline, u, tau=1e-3)
+        au_full = ref.full_product(mach.frac_lap, u.values)
+        u_om = u.values[sets_pipeline.omega]
         bound = 1e-6 * np.abs(au_full).max() / np.abs(u_om).max()
         assert np.abs(q_vals[~mask]).max() <= bound
 
@@ -417,8 +433,8 @@ class TestQuotient:
             )
             if not np.any(vals != 0.0):
                 continue
-            sol = fr.solve_dirichlet(mach, sets_pipeline, q, fr.GridFunction(vals, box))
-            _, mask = fr.quotient_q(mach, sets_pipeline, sol.u, tau=1e-3)
+            u = fr.solve_dirichlet(mach, sets_pipeline, q, fr.GridFunction(vals, box))
+            _, mask = fr.quotient_q(mach, sets_pipeline, u, tau=1e-3)
             fractions.append(mask.mean())
         assert np.mean(fractions) <= 0.05
 
@@ -429,9 +445,9 @@ class TestQuotient:
             )
 
     def test_tau_range_checked(self, mach, sets_pipeline, ground_truth):
-        _, _, sol = ground_truth
+        _, _, u = ground_truth
         with pytest.raises(ValueError, match="tau"):
-            fr.quotient_q(mach, sets_pipeline, sol.u, tau=1.5)
+            fr.quotient_q(mach, sets_pipeline, u, tau=1.5)
 
     def test_infill_nearest(self, sets_pipeline):
         n = len(sets_pipeline.omega)
@@ -511,8 +527,8 @@ class TestFullPipeline:
         x = box.nodes[om]
         q = fr.Potential(np.where(np.abs(x) < 0.5, 1.5, 0.0))
         f = pipeline_datum(box, sets_pipeline)
-        sol = fr.solve_dirichlet(mach, sets_pipeline, q, f)
-        v_true = fr.GridFunction(sol.u.values - f.values, box)
+        u = fr.solve_dirichlet(mach, sets_pipeline, q, f)
+        v_true = fr.GridFunction(u.values - f.values, box)
         sigma1 = float(np.linalg.norm(op_pipeline.weighted, 2))
         errs = []
         for lvl in (1e-2, 1e-4, 1e-6, 0.0):

@@ -659,7 +659,7 @@ class TestRungeApproximation:
         f0[sets_classic.w1] = np.sin(2 * np.pi * (x - a) / (b - a))
         target = fr.solve_dirichlet(
             mach, sets_classic, q, fr.GridFunction(f0, box)
-        ).u.values[sets_classic.omega]
+        ).values[sets_classic.omega]
         _, err = ref.runge_approximate(mach, sets_classic, q, target, control_dim=4)
         assert err <= 1e-8
 
