@@ -3,8 +3,8 @@
 Problem definitions are versioned JSON documents with a strict schema
 (unknown keys are rejected).  All randomness flows from the single seed in
 the file (or the --seed override); rerunning a command with the same seed
-produces byte-identical output files.  Output files are written atomically
-(temp file + rename).
+produces byte-identical output files, each written atomically (temp file +
+rename) with the umask's mode; `spectrum --plot` writes both or neither.
 
 Exit codes: 0 success; 1 validation/usage error; 2 interior operator
 singular (eigenvalue condition); 3 no minimal-L2 minimizer at the first
@@ -41,11 +41,11 @@ from .reconstruct import (
     synthetic_measurement,
 )
 from .ucp import (
+    DISCREPANCY_FACTOR,
     SCHEMES,
     OptimizerNonConvergence,
     RegularizerConfig,
     assemble_ucp,
-    default_alpha_schedule,
 )
 from .experiments import (
     instability_series,
@@ -284,19 +284,26 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(serialize_problem(cfg).encode()).hexdigest()
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write `text` to `path` by a temp file; an OSError names `path`."""
-    d, tmp = os.path.dirname(os.path.abspath(path)), None
+def _atomic_write(*files: tuple[str, str]) -> None:
+    """Write each (path, text) pair by a temp file with the mode 0o666 & ~umask
+    of open(path, "w"); all temp files are written before any is renamed, so
+    a failed write changes no target.  An OSError names the failing path."""
+    os.umask(umask := os.umask(0))  # reading the umask sets it, so set it back
+    temps = []
     try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-        tmp = None
+        for path, text in files:
+            fd, tmp = tempfile.mkstemp("~", ".tmp-", os.path.dirname(os.path.abspath(path)))
+            temps.append(tmp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                os.fchmod(fd, 0o666 & ~umask)
+                fh.write(text)
+        for path, _ in files:
+            os.replace(temps[0], path)
+            del temps[0]
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
-        if tmp is not None:
+        for tmp in temps:
             os.unlink(tmp)
 
 
@@ -315,19 +322,19 @@ def _write_json(path: str, cfg: dict, box, fields: dict) -> None:
     """A JSON report: `fields` with the problem's config hash and grid."""
     grid = {"radius": box.radius, "points": box.size, "spacing": _fmt(box.spacing)}
     doc = {"config_hash": config_hash(cfg), "grid": grid, **fields}
-    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write((path, json.dumps(doc, indent=2, sort_keys=True) + "\n"))
 
 
-def _write_csv(path: str, header: str, rows, footer: dict) -> None:
+def _write_csv(path: str, header: str, rows, footer: dict, *also: tuple[str, str]) -> None:
     """A CSV report: the header, one line per row, then one `# key,value`
     line per footer entry.  A str or int cell is written as is, any other
-    number by `_fmt`."""
+    number by `_fmt`.  The (path, text) pairs `also` go with it, all or none."""
     def cell(v) -> str:
         return v if isinstance(v, str) else str(v) if isinstance(v, (int, np.integer)) else _fmt(v)
 
     lines = [header] + [",".join(map(cell, row)) for row in rows]
     lines += [f"# {key},{cell(v)}" for key, v in footer.items()]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write((path, "\n".join(lines) + "\n"), *also)
 
 
 def _profile_values(profile: dict, x: np.ndarray) -> np.ndarray:
@@ -379,9 +386,9 @@ def _make_datum(cfg: dict, m, sets) -> GridFunction:
 def _make_cfg(cfg: dict, m, sets, rec: MeasurementRecord | None = None) -> RegularizerConfig:
     """Materialize the run configuration of the problem's scheme block.  An
     "auto" schedule stays None (recover_interior derives it from sigma_1);
-    with the "auto" stop rule and noisy data, stop at 1.5x the noise level
-    times the dual norm of the step-1 datum of `rec`.  Noisy data whose dual
-    norm overflows are refused under every stop rule."""
+    with the "auto" stop rule and noisy data, stop at DISCREPANCY_FACTOR x
+    the noise level x the dual norm of the step-1 datum of `rec`.  Noisy
+    data whose dual norm overflows are refused under every stop rule."""
     sch = cfg["scheme"]
     sched = sch["alpha_schedule"]
     schedule = None if sched == "auto" else np.asarray(sched, dtype=float)
@@ -390,7 +397,7 @@ def _make_cfg(cfg: dict, m, sets, rec: MeasurementRecord | None = None) -> Regul
     if lvl > 0 and rec is not None:
         with np.errstate(over="ignore"):
             h_dual = assemble_ucp(m, sets).dual_norm(measurement_to_h(m, sets, rec))
-            delta = 1.5 * lvl * h_dual
+            delta = DISCREPANCY_FACTOR * lvl * h_dual
         if not np.isfinite(h_dual):
             raise ProblemValidationError(f"noise.level {lvl:g} gives data with no finite dual norm")
         if stop == "auto":
@@ -474,15 +481,12 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_spectrum(args) -> int:
     _, m, sets, _ = _setup(args)
     rep = spectrum_report(assemble_ucp(m, sets))
+    plot = [(args.plot, line_plot_svg(rep["j"], rep["log10_sigma"], "mode index j",
+                                      "log10 sigma_j", title="singular spectrum"))
+            ] if args.plot else []
     _write_csv(args.out_csv, "j,sigma,log10_sigma",
                zip(rep["j"], rep["sigma"], rep["log10_sigma"]),
-               {"numerical_rank": rep["numerical_rank"], "slope": rep["slope"]})
-    if args.plot:
-        svg = line_plot_svg(
-            rep["j"], rep["log10_sigma"], "mode index j", "log10 sigma_j",
-            title="singular spectrum",
-        )
-        _atomic_write(args.plot, svg)
+               {"numerical_rank": rep["numerical_rank"], "slope": rep["slope"]}, *plot)
     return EXIT_OK
 
 
@@ -512,17 +516,11 @@ def _cmd_instability(args) -> int:
 
 def _cmd_stability(args) -> int:
     cfg, m, sets, seed = _setup(args)
-    op = assemble_ucp(m, sets)
-    run_cfg = _make_cfg(cfg, m, sets)
-    if run_cfg.alpha_schedule is None:
-        # the sweep must resolve noise floors far below the pipeline default
-        schedule = default_alpha_schedule(op.sigmas[0], kmax=48, step=0.25)
-        run_cfg = replace(run_cfg, alpha_schedule=schedule)
+    sched = cfg["scheme"]["alpha_schedule"]
     levels = np.asarray([float(v) for v in args.levels.split(",")])
     sweep = stability_sweep(
-        op, run_cfg, trials=args.trials, noise_levels=levels,
-        s_prime=args.s_prime, seed=seed,
-    )
+        assemble_ucp(m, sets), cfg["scheme"]["name"], args.trials, levels, args.s_prime,
+        seed=seed, alpha_schedule=None if sched == "auto" else sched)
     fm = sweep.fitted_modulus
     _write_csv(args.out_csv, "noise_level,mean_error",
                zip(sweep.noise_levels, sweep.recon_errors),

@@ -21,7 +21,7 @@ C*E / log(C*E/eta)^sigma and a power law to the (noise, error) pairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .grid import (
     l2_norm,
     smooth_bump,
 )
-from .ucp import RegularizerConfig, UcpOperator
+from .ucp import DISCREPANCY_FACTOR, RegularizerConfig, UcpOperator, default_alpha_schedule
 from .reconstruct import recover_interior
 
 __all__ = [
@@ -248,19 +248,20 @@ def _fit_power_law(eta: np.ndarray, err: np.ndarray) -> dict:
 
 def stability_sweep(
     op: UcpOperator,
-    cfg: RegularizerConfig,
+    scheme: str,
     trials: int,
     noise_levels: np.ndarray,
     s_prime: float,
     seed: int = 0,
+    alpha_schedule=None,
 ) -> StabilitySweep:
     """Noise-ladder reconstruction experiment in a weaker error norm.
 
     For each relative noise level eta: perturb the exact window data of a
     fixed smooth interior truth by Gaussian noise scaled to eta times the
-    data's dual norm, reconstruct with `cfg` (discrepancy stopping at
-    1.5 * eta * ||h||), and record the error in the order-`s_prime` Sobolev
-    norm.  Each (level, trial) pair owns its own seeded generator stream.
+    data's dual norm, reconstruct with `scheme` over `alpha_schedule` (stop
+    at DISCREPANCY_FACTOR * eta * ||h||), and record the order-`s_prime`
+    Sobolev error.  Each (level, trial) pair owns its own seeded generator.
 
     Raises ValueError unless 0 <= s_prime < s (s_prime = 0 is the L2 norm),
     trials >= 1, every level is finite and >= 0, and at least two levels
@@ -276,12 +277,15 @@ def stability_sweep(
         raise ValueError("noise levels must be finite and >= 0")
     if np.count_nonzero(noise_levels > 0) < 2:
         raise ValueError("the noise ladder needs at least two positive levels")
+    if alpha_schedule is None:
+        # the sweep must resolve noise floors far below the pipeline default
+        alpha_schedule = default_alpha_schedule(op.sigmas[0], kmax=48, step=0.25)
     m_weak = build_sobolev(m.box, FractionalOrder(s_prime)) if s_prime > 0 else None
 
-    om_nodes = m.box.nodes[op.sets.omega]
+    om_nodes = m.box.nodes[op.omega]
     center = 0.5 * (om_nodes[0] + om_nodes[-1])
     width = 0.6 * 0.5 * (om_nodes[-1] - om_nodes[0] + m.box.spacing)
-    truth = op.embed_domain(smooth_bump(m.box, center, width).values[op.sets.omega])
+    truth = op.embed_domain(smooth_bump(m.box, center, width).values[op.omega])
     energy = hs_norm(m, truth)
     h_exact = op.apply(truth)
     h_norm = op.dual_norm(h_exact)
@@ -300,8 +304,8 @@ def stability_sweep(
         else:
             noise = np.zeros(op.n_window)
         data = h_exact + noise
-        stop = ("discrepancy", 1.5 * lvl * h_norm) if lvl > 0 else ("fixed_list",)
-        v, _ = recover_interior(op, data, replace(cfg, stop_rule=stop))
+        stop = ("discrepancy", DISCREPANCY_FACTOR * lvl * h_norm) if lvl > 0 else ("fixed_list",)
+        v, _ = recover_interior(op, data, RegularizerConfig(scheme, alpha_schedule, stop))
         return weak_err(v)
 
     per_trial = np.array(

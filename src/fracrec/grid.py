@@ -152,8 +152,8 @@ class SobolevMachinery:
     order: FractionalOrder
     frac_lap: Circulant
     gram_hs: Circulant
-    cache: dict = field(default_factory=dict)
-    _cache_lock: threading.Lock = field(default_factory=threading.Lock)
+    cache: dict = field(default_factory=dict, init=False)
+    _cache_lock: threading.Lock = field(default_factory=threading.Lock, init=False)
 
     def cached(self, key, build):
         """The cached value under `key`, made by `build()` on first request."""

@@ -71,6 +71,8 @@ SVD_BLOCK = 64
 # minimal_l2 defaults: relative KKT tolerance and bisection step cap
 MINIMAL_L2_TOL, MINIMAL_L2_MAX_STEPS = 1e-10, 200_000
 
+DISCREPANCY_FACTOR = 1.5  # Morozov's safety factor (Engl, Hanke & Neubauer 1996, ch. 4)
+
 
 class OptimizerNonConvergence(RuntimeError):
     """No certified minimal-L2 minimizer at this alpha: the data's component
@@ -89,7 +91,8 @@ class UcpOperator:
     geometry and, formed on first read, its SVD and minimal-L2 workspace."""
 
     matrix: np.ndarray            # |W| x |omega|, rows are the w2 nodes
-    sets: IndexSets
+    omega: np.ndarray             # interior nodes; with w2, the key of the cache
+    w2: np.ndarray                # window nodes
     machinery: SobolevMachinery
     domain_chol: np.ndarray       # R with G_omega = R^T R (upper triangular)
     domain_chol_inv: np.ndarray   # R^{-1} (upper triangular)
@@ -115,11 +118,11 @@ class UcpOperator:
 
     def embed_domain(self, v_omega: np.ndarray) -> GridFunction:
         out = np.zeros(self.machinery.box.size)
-        out[self.sets.omega] = v_omega
+        out[self.omega] = v_omega
         return GridFunction(out, self.machinery.box)
 
     def apply(self, v: GridFunction) -> np.ndarray:
-        return self.matrix @ v.values[self.sets.omega]
+        return self.matrix @ v.values[self.omega]
 
     def dual_norm(self, window_vals: np.ndarray) -> float:
         """Dual Sobolev norm of values given on the window."""
@@ -205,12 +208,7 @@ def default_alpha_schedule(sigma1: float, kmax: int = 12, step: float = 0.5) -> 
 def assemble_ucp(m: SobolevMachinery, sets: IndexSets) -> UcpOperator:
     """The dense omega-to-w2 operator with its weighted geometry: one
     read-only operator per (omega, w2), kept on the machinery, so every
-    call on that geometry returns the same operator and its SVD.
-
-    The operator keeps the IndexSets of its first caller.  Only omega and
-    w2 are read through `op.sets`, and the key fixes both; w1 is never read
-    through it.
-    """
+    call on that geometry returns the same operator and its SVD."""
     if len(sets.omega) == 0 or len(sets.w2) == 0:
         raise ValueError("omega and the window must be nonempty")
     key = ("ucp", sets.omega.tobytes(), sets.w2.tobytes())
@@ -225,10 +223,10 @@ def _build_operator(m: SobolevMachinery, sets: IndexSets) -> UcpOperator:
     # of `weighted`, and its smallest singular triplets are that sensitive
     r_inv = np.ascontiguousarray(chol_inv.T)
     q = m.dual_weight(sets.w2)
-    arrays = {"matrix": matrix, "domain_chol": chol.T, "domain_chol_inv": r_inv,
+    arrays = {"matrix": matrix, "omega": sets.omega.copy(), "w2": sets.w2.copy(),
+              "domain_chol": chol.T, "domain_chol_inv": r_inv,
               "range_weight": q, "weighted": q @ matrix @ r_inv}
-    return UcpOperator(sets=sets, machinery=m,
-                       **{k: _read_only(a) for k, a in arrays.items()})
+    return UcpOperator(machinery=m, **{k: _read_only(a) for k, a in arrays.items()})
 
 
 def ucp_svd(op: UcpOperator) -> UcpOperator:
@@ -329,7 +327,7 @@ class _MinimalL2Workspace:
 
     def __init__(self, op: UcpOperator):
         spacing = op.machinery.box.spacing
-        a_oo = op.machinery.frac_lap[np.ix_(op.sets.omega, op.sets.omega)]
+        a_oo = op.machinery.frac_lap[np.ix_(op.omega, op.omega)]
         # control-to-state map in omega coordinates (zero potential)
         self.state_map = _read_only(-np.linalg.solve(a_oo, op.matrix.T))
         tc = self.state_map @ (op.range_weight.T / spacing)  # state_map C^-1

@@ -299,7 +299,7 @@ def minimal_l2_oracle(
 
 
 def minimal_l2_oracle_iterates(
-    op: UcpOperator, window_vals: np.ndarray, cfg: RegularizerConfig, alphas
+    op: UcpOperator, sets: IndexSets, window_vals: np.ndarray, cfg: RegularizerConfig, alphas
 ) -> np.ndarray:
     """Minimal-L2 omega iterates as columns, one oracle solve per alpha: the
     schedule ends before the first alpha that raises (which re-raises when
@@ -310,14 +310,14 @@ def minimal_l2_oracle_iterates(
     for alpha in alphas:
         try:
             res = minimal_l2_oracle(
-                op.machinery, op.sets, window_vals, alpha,
+                op.machinery, sets, window_vals, alpha,
                 tol=cfg.inner_solver_tol, max_iterations=cfg.max_inner_iterations,
             )
         except OptimizerNonConvergence:
             if not cols:
                 raise
             break
-        cols.append(res.phi_hat.values[op.sets.omega])
+        cols.append(res.phi_hat.values[op.omega])
         resid = op.range_weight @ (op.matrix @ cols[-1] - window_vals)
         if delta is not None and np.linalg.norm(resid) <= delta:
             break

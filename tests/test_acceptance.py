@@ -121,14 +121,14 @@ def test_criterion_02_forward_wellposedness(box, mach, sets_pipeline, rng, tmp_p
 def test_criterion_03_svd_relations(op_onesided, svd_onesided):
     sig = svd_onesided.sigmas
     gram = op_onesided.machinery.gram_hs[
-        np.ix_(op_onesided.sets.omega, op_onesided.sets.omega)
+        np.ix_(op_onesided.omega, op_onesided.omega)
     ]
     psis, phis = ref.domain_modes(svd_onesided), ref.range_modes(svd_onesided)
     worst_rel = 0.0
     for j in range(min(10, svd_onesided.numerical_rank)):
         psi, phi = psis[:, j], phis[:, j]
         fwd = op_onesided.dual_norm(op_onesided.matrix @ psi - sig[j] * phi) / sig[j]
-        adj_vec = ref.ucp_adjoint(op_onesided, phi).values[op_onesided.sets.omega] \
+        adj_vec = ref.ucp_adjoint(op_onesided, phi).values[op_onesided.omega] \
             - sig[j] * psi
         adj = float(np.sqrt(adj_vec @ gram @ adj_vec)) / sig[j]
         worst_rel = max(worst_rel, fwd, adj)
@@ -185,7 +185,7 @@ def test_criterion_04_tikhonov(box, mach, sets_pipeline, op_pipeline, pipeline_t
 def test_criterion_05_spectral(op_pipeline, svd_pipeline, rng):
     sig = svd_pipeline.sigmas
     gram = op_pipeline.machinery.gram_hs[
-        np.ix_(op_pipeline.sets.omega, op_pipeline.sets.omega)
+        np.ix_(op_pipeline.omega, op_pipeline.omega)
     ]
     h = rng.standard_normal(op_pipeline.n_window)
     worst_eq = 0.0
@@ -193,7 +193,7 @@ def test_criterion_05_spectral(op_pipeline, svd_pipeline, rng):
         v_ne, _ = fr.tikhonov_reconstruct(op_pipeline, h, alpha)
         coef = (sig / (sig**2 + alpha)) * ref.range_coefficients(svd_pipeline, h)
         v_ff = ref.domain_modes(svd_pipeline) @ coef
-        d = v_ne.values[op_pipeline.sets.omega] - v_ff
+        d = v_ne.values[op_pipeline.omega] - v_ff
         worst_eq = max(worst_eq, float(np.sqrt(d @ gram @ d) / np.sqrt(v_ff @ gram @ v_ff)))
 
     res = []
@@ -348,7 +348,8 @@ def test_criterion_09_logarithmic_stability(op_pipeline):
     )
     levels = 10.0 ** np.linspace(-2, -8, 7)
     sweep = fr.stability_sweep(
-        op_pipeline, cfg, trials=5, noise_levels=levels, s_prime=0.25, seed=3
+        op_pipeline, cfg.scheme, trials=5, noise_levels=levels, s_prime=0.25, seed=3,
+        alpha_schedule=cfg.alpha_schedule,
     )
     monotone = bool(np.all(np.diff(sweep.recon_errors) <= 1e-12))
     log_better = sweep.fitted_modulus["residual"] < sweep.power_fit["residual"]

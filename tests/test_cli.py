@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -422,6 +423,37 @@ class TestOsErrors:
         assert not list(tmp_path.rglob(".tmp-*~"))
 
 
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
+                             ids=["umask-022", "umask-027"])
+    def test_mode_follows_the_umask_as_open_does(self, tmp_path, umask, mode):
+        script = (
+            "import os, sys\n"
+            f"os.umask({umask})\n"
+            "from fracrec.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        csv, svg = tmp_path / "s.csv", tmp_path / "s.svg"
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "spectrum", str(EXAMPLE), str(csv), "--plot", str(svg)],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert [stat.S_IMODE(p.stat().st_mode) for p in (csv, svg)] == [mode, mode]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-csv", "existing-csv"])
+    def test_failed_plot_write_leaves_the_csv_as_it_was(self, tmp_path, capsys, existing):
+        path = write_problem(tmp_path, base_problem())
+        csv, svg = tmp_path / "s.csv", tmp_path / "missing" / "s.svg"
+        if existing:
+            csv.write_text("old\n")
+        assert main(["spectrum", path, str(csv), "--plot", str(svg)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: cannot write {svg}: No such file or directory"]
+        assert csv.read_text() == "old\n" if existing else not csv.exists()
+        assert not list(tmp_path.rglob(".tmp-*~"))
+
+
 class TestBlasThreadDefault:
     @pytest.mark.parametrize("overrides, want", [
         ({}, "1"),
@@ -646,6 +678,18 @@ class TestReconstructCommand:
         text = out.read_text()
         again = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
         assert again == text
+
+    @pytest.mark.parametrize("timed", [True, False], ids=["timed", "untimed"])
+    def test_record_timing(self, tmp_path, timed):
+        out = tmp_path / "rep.json"
+        argv = ["reconstruct", str(EXAMPLE), str(out), "--quiet"] + ["--record-timing"] * timed
+        assert main(argv) == EXIT_OK
+        wall = json.loads(out.read_text())["wall_time_s"]
+        if timed:
+            assert isinstance(wall, str) and wall == cli._fmt(float(wall))
+            assert np.isfinite(float(wall)) and float(wall) > 0
+        else:
+            assert wall is None
 
     def test_tau_override(self, tmp_path):
         path = write_problem(tmp_path, base_problem())

@@ -138,7 +138,8 @@ def sweep(op_pipeline):
     )
     levels = np.concatenate([[0.0], 10.0 ** np.linspace(-2, -8, 7)])
     return fr.stability_sweep(
-        op_pipeline, cfg, trials=3, noise_levels=levels, s_prime=0.25, seed=3
+        op_pipeline, cfg.scheme, trials=3, noise_levels=levels, s_prime=0.25, seed=3,
+        alpha_schedule=cfg.alpha_schedule,
     )
 
 
@@ -160,14 +161,17 @@ class TestStabilitySweep:
             scheme="spectral", alpha_schedule=fr.default_alpha_schedule(sigma1)
         )
         levels = 10.0 ** np.linspace(-2, -5, 3)
-        a = fr.stability_sweep(op_pipeline, cfg, 2, levels, 0.25, seed=11)
-        b = fr.stability_sweep(op_pipeline, cfg, 2, levels, 0.25, seed=11)
+        a = fr.stability_sweep(op_pipeline, cfg.scheme, 2, levels, 0.25, seed=11,
+                               alpha_schedule=cfg.alpha_schedule)
+        b = fr.stability_sweep(op_pipeline, cfg.scheme, 2, levels, 0.25, seed=11,
+                               alpha_schedule=cfg.alpha_schedule)
         assert np.array_equal(a.per_trial, b.per_trial)
 
     def test_weak_order_must_be_below_operator_order(self, op_pipeline):
         cfg = fr.RegularizerConfig(scheme="spectral", alpha_schedule=np.array([1e-3]))
         with pytest.raises(ValueError, match="s_prime"):
-            fr.stability_sweep(op_pipeline, cfg, 1, np.array([1e-3]), s_prime=0.5)
+            fr.stability_sweep(op_pipeline, cfg.scheme, 1, np.array([1e-3]), s_prime=0.5,
+                               alpha_schedule=cfg.alpha_schedule)
 
 
 def least_squares_log_modulus(eta, err, energy):
@@ -204,8 +208,9 @@ class TestLogModulusFit:
             scheme="spectral",
             alpha_schedule=fr.default_alpha_schedule(sigma1, kmax=60, step=0.25),
         )
-        fr.stability_sweep(op_pipeline, cfg, trials=5, noise_levels=10.0 ** np.linspace(-2, -8, 7),
-                           s_prime=0.25, seed=3)
+        fr.stability_sweep(op_pipeline, cfg.scheme, trials=5,
+                           noise_levels=10.0 ** np.linspace(-2, -8, 7), s_prime=0.25, seed=3,
+                           alpha_schedule=cfg.alpha_schedule)
         rng = np.random.default_rng(7)
         for _ in range(5):  # the log model with 10% log-normal scatter
             energy, c, sg = rng.uniform(0.5, 2.0), 10 ** rng.uniform(0, 3), rng.uniform(0.5, 4)

@@ -217,10 +217,10 @@ class TestRecoverInterior:
         assert v is not None
         assert len(trace) == 1
 
-    def test_discrepancy_stops_early(self, op_pipeline, svd_pipeline, box, rng):
+    def test_discrepancy_stops_early(self, op_pipeline, sets_pipeline, svd_pipeline, box, rng):
         truth = random_omega_bump(box, rng)
         vals = truth.values.copy()
-        vals[ref.exterior(box, op_pipeline.sets)] = 0.0
+        vals[ref.exterior(box, sets_pipeline)] = 0.0
         h = op_pipeline.apply(fr.GridFunction(vals, box))
         h = h + 0.1 * op_pipeline.dual_norm(h) / op_pipeline.n_window * rng.standard_normal(
             op_pipeline.n_window
@@ -279,7 +279,7 @@ def per_alpha_reference(op, h, scheme, alphas, delta):
             gain = sig / (sig**2 + alpha)
         v = op.embed_domain(op.domain_chol_inv @ (vt.T @ (gain * (u.T @ qh))))
         residual = op.dual_norm(op.apply(v) - h)
-        penalty = float(np.linalg.norm(op.domain_chol @ v.values[op.sets.omega]))
+        penalty = float(np.linalg.norm(op.domain_chol @ v.values[op.omega]))
         trace.append({"alpha": float(alpha), "residual_dual": residual, "penalty_hs": penalty})
         chosen = v
         if delta is not None and residual <= delta:
@@ -335,11 +335,11 @@ class TestMinimalL2ScheduleOracle:
         return h, float(np.linalg.norm(b)), float(np.linalg.norm(beta[ws.eigvals == 0.0]))
 
     @staticmethod
-    def agree(op, h, cfg):
+    def agree(op, sets, h, cfg):
         alphas = cfg.alpha_schedule
         if alphas is None:
             alphas = fr.default_alpha_schedule(float(op.sigmas[0]))
-        want = ref.minimal_l2_oracle_iterates(op, h, cfg, alphas)
+        want = ref.minimal_l2_oracle_iterates(op, sets, h, cfg, alphas)
         _, trace = fr.recover_interior(op, h, cfg)
         assert len(trace) == want.shape[1]
         got = fr.solve_schedule(op, h, cfg, alphas)[:, :len(trace)]
@@ -349,20 +349,21 @@ class TestMinimalL2ScheduleOracle:
 
     def test_exact_data_full_auto_schedule(self, mach, sets_pipeline, op_pipeline, ground_truth):
         h, nb, _ = self.data(mach, sets_pipeline, ground_truth, 0.0)
-        trace, alphas = self.agree(op_pipeline, h, fr.RegularizerConfig(scheme="minimal_l2"))
+        trace, alphas = self.agree(op_pipeline, sets_pipeline, h,
+                                   fr.RegularizerConfig(scheme="minimal_l2"))
         assert len(trace) > 1 and alphas[-1] < nb
 
     def test_noisy_data_discrepancy_stop(self, mach, sets_pipeline, op_pipeline, ground_truth):
         h, nb, null = self.data(mach, sets_pipeline, ground_truth, 1e-3)
         alphas = nb * np.geomspace(0.5, 2.0 * null / nb, 8)
         fixed = fr.RegularizerConfig(scheme="minimal_l2", alpha_schedule=alphas)
-        res = [row["residual_dual"] for row in self.agree(op_pipeline, h, fixed)[0]]
+        res = [row["residual_dual"] for row in self.agree(op_pipeline, sets_pipeline, h, fixed)[0]]
         assert len(res) == len(alphas) and res[2] > 1.01 * res[3]
         cfg = fr.RegularizerConfig(
             scheme="minimal_l2", alpha_schedule=alphas,
             stop_rule=("discrepancy", float(np.sqrt(res[2] * res[3]))),
         )
-        trace, _ = self.agree(op_pipeline, h, cfg)
+        trace, _ = self.agree(op_pipeline, sets_pipeline, h, cfg)
         assert len(trace) == 4
 
     def test_schedule_crossing_the_null_norm_is_cut(
@@ -374,7 +375,7 @@ class TestMinimalL2ScheduleOracle:
         alphas = null * np.array([6.0, 4.0, 2.0, 1.0, 0.5])
         assert alphas[0] < nb
         cfg = fr.RegularizerConfig(scheme="minimal_l2", alpha_schedule=alphas)
-        trace, _ = self.agree(op_pipeline, h, cfg)
+        trace, _ = self.agree(op_pipeline, sets_pipeline, h, cfg)
         assert len(trace) == 3
 
     def test_first_alpha_above_data_norm_gives_zero(
@@ -384,7 +385,7 @@ class TestMinimalL2ScheduleOracle:
         cfg = fr.RegularizerConfig(
             scheme="minimal_l2", alpha_schedule=nb * np.array([2.0, 1.0, 0.3, 0.1])
         )
-        trace, _ = self.agree(op_pipeline, h, cfg)
+        trace, _ = self.agree(op_pipeline, sets_pipeline, h, cfg)
         assert len(trace) == 4
         cols = fr.solve_schedule(op_pipeline, h, cfg, cfg.alpha_schedule)[:, :len(trace)]
         assert not np.any(cols[:, 0]) and not np.any(cols[:, 1])
@@ -396,7 +397,7 @@ class TestMinimalL2ScheduleOracle:
             scheme="minimal_l2", alpha_schedule=null * np.array([1.0, 0.5])
         )
         with pytest.raises(fr.OptimizerNonConvergence, match="no minimizer"):
-            ref.minimal_l2_oracle_iterates(op_pipeline, h, cfg, cfg.alpha_schedule)
+            ref.minimal_l2_oracle_iterates(op_pipeline, sets_pipeline, h, cfg, cfg.alpha_schedule)
         with pytest.raises(fr.OptimizerNonConvergence, match="no minimizer"):
             fr.recover_interior(op_pipeline, h, cfg)
 

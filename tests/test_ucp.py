@@ -23,36 +23,36 @@ def omega_vector(op, values_om):
 
 class TestAssembly:
     def test_zero_maps_to_zero(self, op_onesided):
-        v = op_onesided.embed_domain(np.zeros(len(op_onesided.sets.omega)))
+        v = op_onesided.embed_domain(np.zeros(len(op_onesided.omega)))
         assert np.all(op_onesided.apply(v) == 0.0)
 
     def test_columns_match_full_operator(self, op_onesided, mach):
         # applying the full matrix to a basis vector and restricting agrees
         j = 7
-        e = np.zeros(len(op_onesided.sets.omega))
+        e = np.zeros(len(op_onesided.omega))
         e[j] = 1.0
         full = ref.full_product(mach.frac_lap, op_onesided.embed_domain(e).values)
-        assert np.array_equal(op_onesided.matrix[:, j], full[op_onesided.sets.w2]) or \
-            np.abs(op_onesided.matrix[:, j] - full[op_onesided.sets.w2]).max() <= 1e-12
+        assert np.array_equal(op_onesided.matrix[:, j], full[op_onesided.w2]) or \
+            np.abs(op_onesided.matrix[:, j] - full[op_onesided.w2]).max() <= 1e-12
 
     def test_two_route_agreement(self, op_onesided, mach, box, rng):
         v = random_omega_bump(box, rng)
         vals = v.values.copy()
         keep = np.zeros(box.size, dtype=bool)
-        keep[op_onesided.sets.omega] = True
+        keep[op_onesided.omega] = True
         vals[~keep] = 0.0
         gf = fr.GridFunction(vals, box)
         via_matrix = op_onesided.apply(gf)
-        via_full = ref.fraclap_apply(mach, gf).values[op_onesided.sets.w2]
+        via_full = ref.fraclap_apply(mach, gf).values[op_onesided.w2]
         assert np.abs(via_matrix - via_full).max() <= 1e-12 * np.abs(via_full).max()
 
     def test_off_support_smallness(self, op_onesided, mach, box, rng):
         # the operator smooths away from the support: window values are tiny
         # compared to the interior size of the fractional Laplacian
         v = random_omega_bump(box, rng)
-        om = op_onesided.sets.omega
+        om = op_onesided.omega
         av = ref.fraclap_apply(mach, v).values
-        win = np.sqrt(box.spacing * np.sum(av[op_onesided.sets.w2] ** 2))
+        win = np.sqrt(box.spacing * np.sum(av[op_onesided.w2] ** 2))
         inside = np.sqrt(box.spacing * np.sum(av[om] ** 2))
         assert win <= 5e-2 * inside
 
@@ -69,16 +69,16 @@ class TestWeightedSvd:
             lpsi = op_onesided.matrix @ psi
             resid = op_onesided.dual_norm(lpsi - svd_onesided.sigmas[j] * phi)
             assert resid <= 1e-9 * svd_onesided.sigmas[j]
-            lstar = ref.ucp_adjoint(op_onesided, phi).values[op_onesided.sets.omega]
+            lstar = ref.ucp_adjoint(op_onesided, phi).values[op_onesided.omega]
             gram = op_onesided.machinery.gram_hs[
-                np.ix_(op_onesided.sets.omega, op_onesided.sets.omega)
+                np.ix_(op_onesided.omega, op_onesided.omega)
             ]
             d = lstar - svd_onesided.sigmas[j] * psi
             assert np.sqrt(d @ gram @ d) <= 1e-9 * svd_onesided.sigmas[j]
 
     def test_domain_orthonormality(self, svd_onesided, op_onesided):
         gram = op_onesided.machinery.gram_hs[
-            np.ix_(op_onesided.sets.omega, op_onesided.sets.omega)
+            np.ix_(op_onesided.omega, op_onesided.omega)
         ]
         r = svd_onesided.numerical_rank
         psi = ref.domain_modes(svd_onesided)[:, :r]
@@ -134,9 +134,13 @@ class TestOperatorArraysCache:
         m = fr.build_sobolev(box, mach.order)
         a, b = fr.assemble_ucp(m, sets_pipeline), fr.assemble_ucp(m, sets_pipeline)
         assert a is b
-        for name in ("matrix", "domain_chol", "domain_chol_inv", "range_weight", "weighted"):
+        for name in ("matrix", "omega", "w2", "domain_chol", "domain_chol_inv", "range_weight",
+                     "weighted"):
             assert getattr(a, name) is getattr(b, name)
             assert not getattr(a, name).flags.writeable
+        # the key's node arrays are the caller's values, copied: its sets stay writable
+        assert np.array_equal(a.omega, sets_pipeline.omega) and np.array_equal(a.w2, sets_pipeline.w2)
+        assert sets_pipeline.omega.flags.writeable and sets_pipeline.w2.flags.writeable
         assert a.svd_factors is b.svd_factors
         assert all(np.array_equal(x, y) for x, y in zip(a.svd_factors, b.svd_factors))
         n_om, n_w = len(sets_pipeline.omega), len(sets_pipeline.w2)
@@ -163,7 +167,7 @@ class TestSchemeArguments:
         "spectral": ref.spectral_reconstruct,
         "tikhonov": fr.tikhonov_reconstruct,
         "minimal_l2": lambda op, h, alpha, **kw: fr.minimal_l2_reconstruct(
-            op.machinery, op.sets, h, alpha, **kw),
+            op.machinery, fr.IndexSets(op.omega, op.w2, op.w2), h, alpha, **kw),
     }
 
     @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
@@ -193,12 +197,12 @@ class TestAdjoint:
         assert np.all(out.values == 0.0)
 
     def test_adjoint_identity_sweep(self, op_onesided, mach, box, rng):
-        om = op_onesided.sets.omega
+        om = op_onesided.omega
         for _ in range(50):
             v = op_onesided.embed_domain(rng.standard_normal(len(om)))
             hw = rng.standard_normal(op_onesided.n_window)
             lv = op_onesided.apply(v)
-            lhs = ref.hminus_s_inner(mach, lv, hw, op_onesided.sets.w2)
+            lhs = ref.hminus_s_inner(mach, lv, hw, op_onesided.w2)
             a = ref.ucp_adjoint(op_onesided, hw)
             rhs = fr.hs_inner(mach, a, v)
             scale = op_onesided.dual_norm(lv) * op_onesided.dual_norm(hw) + 1e-300
@@ -213,13 +217,13 @@ class TestSpectralScheme:
         h = op_onesided.matrix @ psi
         rec = ref.spectral_reconstruct(svd_onesided, h, alpha=sig[j] * 0.999)
         gram = op_onesided.machinery.gram_hs[
-            np.ix_(op_onesided.sets.omega, op_onesided.sets.omega)
+            np.ix_(op_onesided.omega, op_onesided.omega)
         ]
-        d = rec.values[op_onesided.sets.omega] - psi
+        d = rec.values[op_onesided.omega] - psi
         assert np.sqrt(d @ gram @ d) <= 1e-9
         # above sigma_j the mode is filtered out entirely
         rec0 = ref.spectral_reconstruct(svd_onesided, h, alpha=sig[j - 1])
-        d0 = rec0.values[op_onesided.sets.omega]
+        d0 = rec0.values[op_onesided.omega]
         assert np.sqrt(d0 @ gram @ d0) <= 1e-9 or np.abs(d0).max() <= 1e-12
 
     def test_zero_data(self, svd_onesided, op_onesided):
@@ -235,7 +239,7 @@ class TestSpectralScheme:
         v = random_omega_bump(box, rng)
         vals = v.values.copy()
         mask = np.ones(box.size, dtype=bool)
-        mask[op_onesided.sets.omega] = False
+        mask[op_onesided.omega] = False
         vals[mask] = 0.0
         truth = fr.GridFunction(vals, box)
         h = op_onesided.apply(truth)
@@ -275,13 +279,13 @@ class TestTikhonovScheme:
         h = rng.standard_normal(op_onesided.n_window)
         sig = svd_onesided.sigmas
         gram = op_onesided.machinery.gram_hs[
-            np.ix_(op_onesided.sets.omega, op_onesided.sets.omega)
+            np.ix_(op_onesided.omega, op_onesided.omega)
         ]
         for alpha in (sig[0] ** 2, sig[0] ** 2 * 1e-3, sig[0] ** 2 * 1e-6):
             v, _ = fr.tikhonov_reconstruct(op_onesided, h, alpha)
             coef = (sig / (sig**2 + alpha)) * ref.range_coefficients(svd_onesided, h)
             v_ff = ref.domain_modes(svd_onesided) @ coef
-            d = v.values[op_onesided.sets.omega] - v_ff
+            d = v.values[op_onesided.omega] - v_ff
             rel = np.sqrt(d @ gram @ d) / np.sqrt(v_ff @ gram @ v_ff)
             assert rel <= 1e-8
 
