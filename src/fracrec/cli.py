@@ -14,6 +14,7 @@ alpha; 4 decay-slope bound violated in the instability experiment.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -286,11 +287,15 @@ def config_hash(cfg: dict) -> str:
 
 def _atomic_write(*files: tuple[str, str]) -> None:
     """Write each (path, text) pair by a temp file with the mode 0o666 & ~umask
-    of open(path, "w"); all temp files are written before any is renamed, so
-    a failed write changes no target.  An OSError names the failing path."""
+    of open(path, "w"); no target may be a directory, and all temp files are
+    written before any is renamed, so a failed write changes no target.  An
+    OSError names the failing path."""
     os.umask(umask := os.umask(0))  # reading the umask sets it, so set it back
     temps = []
     try:
+        for path, _ in files:
+            if os.path.isdir(path) and not os.path.islink(path):  # rename replaces a link
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         for path, text in files:
             fd, tmp = tempfile.mkstemp("~", ".tmp-", os.path.dirname(os.path.abspath(path)))
             temps.append(tmp)

@@ -6,6 +6,15 @@ discrete state u satisfies the interior collocation equations
 fractional Laplacian matrix.  The measurement map, f to (A u) restricted to
 an exterior window, is formed from u by `reconstruct.synthetic_measurement`;
 the forward report's two norms of u, by `solve_diagnostics`.
+
+0 must be no Dirichlet eigenvalue: the interior block B's smallest
+|eigenvalue| must exceed UNIQUENESS_RTOL times its largest.  A Cholesky
+factorization of B - c I, c = (UNIQUENESS_RTOL + 2 n (n+1) eps) n max|B_ij|,
+that completes is exact for a matrix within n (n+1) eps max|B_ij| of B - c I
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+ch. 10), so it proves lambda_min(B) > UNIQUENESS_RTOL n max|B_ij| >=
+UNIQUENESS_RTOL ||B||_2.  When it fails, `check_dirichlet_uniqueness` decides
+by B's eigenvalues.
 """
 
 from __future__ import annotations
@@ -55,8 +64,9 @@ def _interior_matrix(m: SobolevMachinery, sets: IndexSets, q: Potential) -> np.n
         raise ValueError(
             f"potential has {len(q.values)} values but omega has {len(sets.omega)} nodes"
         )
-    a_oo = m.frac_lap[np.ix_(sets.omega, sets.omega)]
-    return a_oo + np.diag(q.values)
+    block = m.frac_lap[sets.omega[:, None], sets.omega]
+    block.flat[:: len(block) + 1] += q.values
+    return block
 
 
 def check_dirichlet_uniqueness(
@@ -64,17 +74,15 @@ def check_dirichlet_uniqueness(
 ) -> dict:
     """Check that the interior operator is safely invertible.
 
-    Returns {"ok": bool, "margin": smallest singular value, "block": the
-    interior block A_oo + diag(q)}.  The check passes when the smallest
-    singular value of the block exceeds ``UNIQUENESS_RTOL`` times its
-    spectral norm.  The block is exactly symmetric, so its singular values
-    are the absolute values of its eigenvalues.
+    Returns {"ok": bool, "margin": smallest singular value} of the interior
+    block A_oo + diag(q).  The check passes when the smallest singular
+    value of the block exceeds ``UNIQUENESS_RTOL`` times its spectral norm.
+    The block is exactly symmetric, so its singular values are the absolute
+    values of its eigenvalues.
     """
-    mat = _interior_matrix(m, sets, q)
-    svals = np.abs(np.linalg.eigvalsh(mat))
+    svals = np.abs(np.linalg.eigvalsh(_interior_matrix(m, sets, q)))
     margin = float(svals.min())
-    ok = margin > UNIQUENESS_RTOL * float(svals.max())
-    return {"ok": ok, "margin": margin, "block": mat}
+    return {"ok": margin > UNIQUENESS_RTOL * float(svals.max()), "margin": margin}
 
 
 def solve_dirichlet(
@@ -84,19 +92,28 @@ def solve_dirichlet(
 
     f must be supported in the exterior; the returned u equals f on every
     exterior node bit-exactly and solves the interior equations by a dense
-    factorization.  Raises EigenvalueConditionError when the interior
-    operator is numerically singular.
+    factorization.  The interior block B is certified by the Cholesky
+    factorization of B - c I in the module docstring, whose 2 n (n+1) eps
+    term covers its rounding (Higham 2002, ch. 10); when that fails,
+    `check_dirichlet_uniqueness` decides and raises EigenvalueConditionError
+    for a numerically singular B.
     """
     if np.any(f.values[sets.omega] != 0.0):
         raise ValueError("exterior datum f has nonzero values on omega nodes")
-    check = check_dirichlet_uniqueness(m, sets, q)
-    if not check["ok"]:
-        raise EigenvalueConditionError(
-            f"interior operator singular (margin {check['margin']:.3e})"
-        )
+    block = _interior_matrix(m, sets, q)
+    shifted, n, eps = block.copy(), len(block), np.finfo(float).eps
+    # c = max|B_ij| times a factor below 1, so that it cannot overflow
+    shifted.flat[:: n + 1] -= np.abs(block).max() * (n * (UNIQUENESS_RTOL + 2 * n * (n + 1) * eps))
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        check = check_dirichlet_uniqueness(m, sets, q)
+        if not check["ok"]:
+            raise EigenvalueConditionError(
+                f"interior operator singular (margin {check['margin']:.3e})") from None
     rhs = -m.frac_lap.rows(sets.omega, f.values)
     u_vals = f.values.copy()
-    u_vals[sets.omega] = np.linalg.solve(check["block"], rhs)
+    u_vals[sets.omega] = np.linalg.solve(block, rhs)
     return GridFunction(u_vals, m.box)
 
 

@@ -102,7 +102,7 @@ class Circulant:
     """Symmetric n x n circulant matrix C[i, j] = col[(i - j) % n], held as
     its first column.
 
-    ``C[np.ix_(rows, cols)]`` gathers a block from the column and
+    ``C[rows[:, None], cols]`` gathers a block from the column and
     ``C.rows(rows, x)`` is ``(C @ x)[rows]``.  ``nbytes`` counts the bytes
     held.
 
@@ -132,7 +132,7 @@ class Circulant:
         if len(rows) * len(supp) > GATHER_MAX_ENTRIES:
             n = len(self.col)
             return np.fft.irfft(np.fft.rfft(self.col) * np.fft.rfft(x), n)[rows]
-        return self[np.ix_(rows, supp)] @ x[supp]
+        return self.col[rows[:, None] - supp] @ x[supp]
 
 
 @dataclass
@@ -166,7 +166,7 @@ class SobolevMachinery:
     def gram_factor(self, region: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower-triangular (L, L^-1) on `region`, where G = L L^T is the
         Cholesky factorization of the gram_hs block."""
-        chol = np.linalg.cholesky(self.gram_hs[np.ix_(region, region)])
+        chol = np.linalg.cholesky(self.gram_hs[region[:, None], region])
         return chol, tril_inverse(chol)
 
     def dual_weight(self, region: np.ndarray) -> np.ndarray:

@@ -217,7 +217,7 @@ def assemble_ucp(m: SobolevMachinery, sets: IndexSets) -> UcpOperator:
 
 def _build_operator(m: SobolevMachinery, sets: IndexSets) -> UcpOperator:
     """The operator on (omega, w2) with its arrays marked read-only."""
-    matrix = m.frac_lap[np.ix_(sets.w2, sets.omega)]
+    matrix = m.frac_lap[sets.w2[:, None], sets.omega]
     chol, chol_inv = m.gram_factor(sets.omega)
     # R^-1 in C order: the layout picks the BLAS kernel, hence the rounding,
     # of `weighted`, and its smallest singular triplets are that sensitive
@@ -327,7 +327,7 @@ class _MinimalL2Workspace:
 
     def __init__(self, op: UcpOperator):
         spacing = op.machinery.box.spacing
-        a_oo = op.machinery.frac_lap[np.ix_(op.omega, op.omega)]
+        a_oo = op.machinery.frac_lap[op.omega[:, None], op.omega]
         # control-to-state map in omega coordinates (zero potential)
         self.state_map = _read_only(-np.linalg.solve(a_oo, op.matrix.T))
         tc = self.state_map @ (op.range_weight.T / spacing)  # state_map C^-1

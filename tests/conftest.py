@@ -77,27 +77,31 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-@pytest.fixture()
-def cholesky_calls(monkeypatch):
-    """The shapes of the blocks np.linalg.cholesky factors during the test."""
-    calls, real = [], np.linalg.cholesky
+def _shape_log(monkeypatch, name):
+    """Patch np.linalg.<name> to log the shape of each matrix it is given."""
+    calls, real = [], getattr(np.linalg, name)
 
     def counting(a, *args, **kwargs):
         calls.append(np.shape(a))
         return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+@pytest.fixture()
+def cholesky_calls(monkeypatch):
+    """The shapes of the blocks np.linalg.cholesky factors during the test."""
+    return _shape_log(monkeypatch, "cholesky")
 
 
 @pytest.fixture()
 def svd_calls(monkeypatch):
     """The shapes of the matrices np.linalg.svd decomposes during the test."""
-    calls, real = [], np.linalg.svd
+    return _shape_log(monkeypatch, "svd")
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return real(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
+@pytest.fixture()
+def eigvalsh_calls(monkeypatch):
+    """The shapes of the matrices np.linalg.eigvalsh is given during the test."""
+    return _shape_log(monkeypatch, "eigvalsh")

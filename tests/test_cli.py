@@ -441,17 +441,36 @@ class TestOutputFiles:
         assert proc.returncode == EXIT_OK, proc.stderr
         assert [stat.S_IMODE(p.stat().st_mode) for p in (csv, svg)] == [mode, mode]
 
-    @pytest.mark.parametrize("existing", [False, True], ids=["new-csv", "existing-csv"])
-    def test_failed_plot_write_leaves_the_csv_as_it_was(self, tmp_path, capsys, existing):
+    @staticmethod
+    def check_failed_plot(tmp_path, capsys, existing, plot, reason):
         path = write_problem(tmp_path, base_problem())
-        csv, svg = tmp_path / "s.csv", tmp_path / "missing" / "s.svg"
+        csv, svg = tmp_path / "s.csv", tmp_path / plot
         if existing:
             csv.write_text("old\n")
         assert main(["spectrum", path, str(csv), "--plot", str(svg)]) == EXIT_VALIDATION
         err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: cannot write {svg}: No such file or directory"]
+        assert err == [f"error: cannot write {svg}: {reason}"]
         assert csv.read_text() == "old\n" if existing else not csv.exists()
         assert not list(tmp_path.rglob(".tmp-*~"))
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-csv", "existing-csv"])
+    def test_failed_plot_write_leaves_the_csv_as_it_was(self, tmp_path, capsys, existing):
+        self.check_failed_plot(tmp_path, capsys, existing, "missing/s.svg",
+                               "No such file or directory")
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-csv", "existing-csv"])
+    def test_plot_target_directory_leaves_the_csv_as_it_was(self, tmp_path, capsys, existing):
+        # a directory target fails only at its rename, after the CSV's
+        (tmp_path / "plotdir").mkdir()
+        self.check_failed_plot(tmp_path, capsys, existing, "plotdir", "Is a directory")
+
+    def test_link_to_a_directory_is_replaced_as_rename_does(self, tmp_path):
+        (tmp_path / "plotdir").mkdir()
+        (tmp_path / "link").symlink_to("plotdir")
+        path = write_problem(tmp_path, base_problem())
+        argv = ["spectrum", path, str(tmp_path / "s.csv"), "--plot", str(tmp_path / "link")]
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / "link").is_file() and not (tmp_path / "link").is_symlink()
 
 
 class TestBlasThreadDefault:
@@ -548,6 +567,21 @@ class TestForwardCommand:
         path = write_problem(tmp_path, doc)
         assert main(["forward", path, str(tmp_path / "o.json")]) == EXIT_EIGENVALUE
 
+    def test_example_needs_no_eigenvalues(self, tmp_path, eigvalsh_calls):
+        assert main(["forward", str(EXAMPLE), str(tmp_path / "o.json")]) == EXIT_OK
+        assert eigvalsh_calls == []
+
+    @pytest.mark.parametrize("value", [1e160, 1e200, 1e300, -1e300])
+    def test_huge_constant_potential_runs_without_warnings(self, tmp_path, value):
+        doc = base_problem()
+        doc["q"] = {"kind": "constant", "params": {"value": value}}
+        proc = subprocess.run(
+            [sys.executable, "-m", "fracrec.cli", "forward", write_problem(tmp_path, doc),
+             str(tmp_path / "o.json")],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+
     def test_malformed_region_exits_1(self, tmp_path):
         doc = base_problem()
         doc["w1"] = {"intervals": [[0.5, 2.0]]}
@@ -565,7 +599,9 @@ class TestReconstructCommand:
         for extra in ([], ["--scheme", "minimal_l2", "--alpha-list", "1e-2,1e-3", "--tau", "0.01"]):
             cholesky_calls.clear()
             assert main(argv + extra) == EXIT_OK
-            assert sorted(cholesky_calls) == sorted([(n_om, n_om), (n_w, n_w)])
+            # the second (n_om, n_om) is the synthetic measurement's certificate
+            # that the interior block clears its Dirichlet margin
+            assert sorted(cholesky_calls) == sorted([(n_om, n_om), (n_om, n_om), (n_w, n_w)])
 
     def test_zero_potential_recovery(self, tmp_path):
         doc = base_problem()

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as sla
 
 import fracrec as fr
+from fracrec.forward import UNIQUENESS_RTOL
 
 from conftest import S, random_omega_bump
 import reference as ref
@@ -99,6 +100,37 @@ class TestSolveDirichlet:
             ratios.append(fr.solve_diagnostics(m, sets, q, f, u)["solver_conditioning"])
         ratios = np.array(ratios)
         assert ratios.max() / ratios.min() <= 1.1
+
+
+class TestCholeskyCertificate:
+    """solve_dirichlet certifies the block by Cholesky of a shifted copy and
+    leaves the decision to check_dirichlet_uniqueness when that fails."""
+
+    @staticmethod
+    def constant_q_block(mach, sets, pick):
+        a_oo = mach.frac_lap[np.ix_(sets.omega, sets.omega)]
+        q = fr.Potential(np.full(len(sets.omega), pick(sla.eigvalsh(a_oo))))
+        return q, a_oo + np.diag(q.values)
+
+    def test_positive_definite_block_below_margin_raises(self, mach, sets_classic, box):
+        # 0 < lambda_min(B) = rtol/2 * lambda_max(A_oo) < rtol * lambda_max(B):
+        # the unshifted block factors, so only the shift can refuse it
+        q, block = self.constant_q_block(
+            mach, sets_classic, lambda lam: -lam[0] + 0.5 * UNIQUENESS_RTOL * lam[-1])
+        lam = sla.eigvalsh(block)
+        assert 0 < lam[0] < UNIQUENESS_RTOL * lam[-1]
+        with pytest.raises(fr.EigenvalueConditionError):
+            fr.solve_dirichlet(mach, sets_classic, q, w1_bump(box, sets_classic))
+
+    def test_indefinite_block_solves_through_the_exact_check(
+        self, mach, sets_classic, box, eigvalsh_calls
+    ):
+        q, block = self.constant_q_block(mach, sets_classic, lambda lam: -0.5 * (lam[0] + lam[1]))
+        f = w1_bump(box, sets_classic)
+        u = fr.solve_dirichlet(mach, sets_classic, q, f)
+        assert len(eigvalsh_calls) == 1
+        rhs = -mach.frac_lap.rows(sets_classic.omega, f.values)
+        assert np.array_equal(u.values[sets_classic.omega], np.linalg.solve(block, rhs))
 
 
 class TestMeasurementMap:
