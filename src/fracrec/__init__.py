@@ -29,7 +29,6 @@ from .grid import (
 from .forward import (
     EigenvalueConditionError,
     Potential,
-    check_dirichlet_uniqueness,
     solve_diagnostics,
     solve_dirichlet,
 )

@@ -241,9 +241,8 @@ def _parse_profile(obj: dict, where: str, kinds: set) -> dict:
 
 
 def _parse_scheme(obj: dict) -> dict:
-    name = obj["name"]
-    if name not in SCHEMES:
-        raise ProblemValidationError(f"unknown scheme {name!r}")
+    """The scheme block, its JSON types checked here and its values by the
+    RegularizerConfig it describes."""
     sched = obj.get("alpha_schedule", "auto")
     if sched != "auto":
         if not (isinstance(sched, list) and sched and all(map(_is_number, sched))):
@@ -251,16 +250,17 @@ def _parse_scheme(obj: dict) -> dict:
                 "alpha_schedule must be 'auto' or a nonempty list of finite numbers"
             )
         sched = [float(a) for a in sched]
-    stop = obj.get("stop_rule", "auto")
+    stop, rule = obj.get("stop_rule", "auto"), ("fixed_list",)
     if stop != "auto":
         _require_keys(stop, {"kind"}, {"delta"}, "scheme.stop_rule")
-        if stop["kind"] not in ("fixed_list", "discrepancy"):
-            raise ProblemValidationError("stop_rule.kind must be fixed_list or discrepancy")
-        if stop["kind"] == "discrepancy" and "delta" not in stop:
-            raise ProblemValidationError("discrepancy stop rule needs a delta")
-        if "delta" in stop and not (_is_number(stop["delta"]) and stop["delta"] >= 0):
+        if "delta" in stop and not _is_number(stop["delta"]):
             raise ProblemValidationError("stop_rule.delta must be a finite number >= 0")
-    return {"name": name, "alpha_schedule": sched, "stop_rule": stop}
+        rule = tuple(stop[key] for key in ("kind", "delta") if key in stop)
+    try:
+        RegularizerConfig(obj["name"], None if sched == "auto" else sched, rule)
+    except ValueError as exc:
+        raise ProblemValidationError(str(exc)) from exc
+    return {"name": obj["name"], "alpha_schedule": sched, "stop_rule": stop}
 
 
 def _load_json(path: str):
@@ -388,7 +388,7 @@ def _make_datum(cfg: dict, m, sets) -> GridFunction:
     return GridFunction(vals, m.box)
 
 
-def _make_cfg(cfg: dict, m, sets, rec: MeasurementRecord | None = None) -> RegularizerConfig:
+def _make_cfg(cfg: dict, m, sets, rec: MeasurementRecord) -> RegularizerConfig:
     """Materialize the run configuration of the problem's scheme block.  An
     "auto" schedule stays None (recover_interior derives it from sigma_1);
     with the "auto" stop rule and noisy data, stop at DISCREPANCY_FACTOR x
@@ -399,7 +399,7 @@ def _make_cfg(cfg: dict, m, sets, rec: MeasurementRecord | None = None) -> Regul
     schedule = None if sched == "auto" else np.asarray(sched, dtype=float)
     stop, lvl = sch["stop_rule"], cfg["noise"]["level"]
     stop_rule = ("fixed_list",)
-    if lvl > 0 and rec is not None:
+    if lvl > 0:
         with np.errstate(over="ignore"):
             h_dual = assemble_ucp(m, sets).dual_norm(measurement_to_h(m, sets, rec))
             delta = DISCREPANCY_FACTOR * lvl * h_dual
@@ -417,12 +417,7 @@ def _make_cfg(cfg: dict, m, sets, rec: MeasurementRecord | None = None) -> Regul
 def _measurement(cfg: dict, m, sets, seed: int) -> MeasurementRecord:
     f = _make_datum(cfg, m, sets)
     if "g" in cfg:
-        g = _read_values(cfg["g"]["path"])
-        if g.shape != sets.w2.shape:
-            raise ProblemValidationError(
-                f"measured g has {len(g)} values, w2 has {len(sets.w2)} nodes"
-            )
-        return MeasurementRecord(f=f, g=g)
+        return MeasurementRecord(f=f, g=_read_values(cfg["g"]["path"]))
     q = _make_potential(cfg, m, sets)
     return synthetic_measurement(
         m, sets, q, f, noise_level=cfg["noise"]["level"], seed=seed

@@ -13,8 +13,8 @@ factorization of B - c I, c = (UNIQUENESS_RTOL + 2 n (n+1) eps) n max|B_ij|,
 that completes is exact for a matrix within n (n+1) eps max|B_ij| of B - c I
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
 ch. 10), so it proves lambda_min(B) > UNIQUENESS_RTOL n max|B_ij| >=
-UNIQUENESS_RTOL ||B||_2.  When it fails, `check_dirichlet_uniqueness` decides
-by B's eigenvalues.
+UNIQUENESS_RTOL ||B||_2.  When it fails, the solve decides by B's
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .grid import (
 __all__ = [
     "Potential",
     "EigenvalueConditionError",
-    "check_dirichlet_uniqueness",
     "solve_dirichlet",
     "solve_diagnostics",
 ]
@@ -69,22 +68,6 @@ def _interior_matrix(m: SobolevMachinery, sets: IndexSets, q: Potential) -> np.n
     return block
 
 
-def check_dirichlet_uniqueness(
-    m: SobolevMachinery, sets: IndexSets, q: Potential
-) -> dict:
-    """Check that the interior operator is safely invertible.
-
-    Returns {"ok": bool, "margin": smallest singular value} of the interior
-    block A_oo + diag(q).  The check passes when the smallest singular
-    value of the block exceeds ``UNIQUENESS_RTOL`` times its spectral norm.
-    The block is exactly symmetric, so its singular values are the absolute
-    values of its eigenvalues.
-    """
-    svals = np.abs(np.linalg.eigvalsh(_interior_matrix(m, sets, q)))
-    margin = float(svals.min())
-    return {"ok": margin > UNIQUENESS_RTOL * float(svals.max()), "margin": margin}
-
-
 def solve_dirichlet(
     m: SobolevMachinery, sets: IndexSets, q: Potential, f: GridFunction
 ) -> GridFunction:
@@ -94,9 +77,9 @@ def solve_dirichlet(
     exterior node bit-exactly and solves the interior equations by a dense
     factorization.  The interior block B is certified by the Cholesky
     factorization of B - c I in the module docstring, whose 2 n (n+1) eps
-    term covers its rounding (Higham 2002, ch. 10); when that fails,
-    `check_dirichlet_uniqueness` decides and raises EigenvalueConditionError
-    for a numerically singular B.
+    term covers its rounding (Higham 2002, ch. 10); when that fails, B's
+    eigenvalues decide, and EigenvalueConditionError is raised unless the
+    smallest |eigenvalue| exceeds UNIQUENESS_RTOL times the largest.
     """
     if np.any(f.values[sets.omega] != 0.0):
         raise ValueError("exterior datum f has nonzero values on omega nodes")
@@ -107,10 +90,10 @@ def solve_dirichlet(
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        check = check_dirichlet_uniqueness(m, sets, q)
-        if not check["ok"]:
+        svals = np.abs(np.linalg.eigvalsh(block))
+        if not svals.min() > UNIQUENESS_RTOL * svals.max():
             raise EigenvalueConditionError(
-                f"interior operator singular (margin {check['margin']:.3e})") from None
+                f"interior operator singular (margin {svals.min():.3e})") from None
     rhs = -m.frac_lap.rows(sets.omega, f.values)
     u_vals = f.values.copy()
     u_vals[sets.omega] = np.linalg.solve(block, rhs)

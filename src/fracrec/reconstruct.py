@@ -88,7 +88,7 @@ def measurement_to_h(
     if np.any(rec.f.values[sets.omega] != 0.0):
         raise PipelineError(1, "datum f has values on interior nodes")
     if rec.g.shape != sets.w2.shape:
-        raise PipelineError(1, f"g has {rec.g.shape} values, window has {len(sets.w2)}")
+        raise PipelineError(1, f"g has {rec.g.size} values, window has {len(sets.w2)}")
     return rec.g - m.frac_lap.rows(sets.w2, rec.f.values)
 
 

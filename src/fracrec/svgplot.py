@@ -10,10 +10,8 @@ _W, _H = 640, 440
 _ML, _MR, _MT, _MB = 70, 20, 30, 50
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
-    if hi <= lo:
-        hi = lo + 1.0
-    raw = (hi - lo) / n
+def _ticks(lo: float, hi: float) -> np.ndarray:
+    raw = (hi - lo) / 5
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min((m for m in (1.0, 2.0, 5.0, 10.0) if m * mag >= raw), default=10.0) * mag
     first = np.ceil(lo / step) * step

@@ -193,8 +193,8 @@ class RegularizerConfig:
                     or np.any(np.diff(a) >= 0)):
                 raise ValueError("alpha schedule must be finite, positive and strictly decreasing")
             self.alpha_schedule = a
-        rule, arity = self.stop_rule, {"fixed_list": 1, "discrepancy": 2}
-        if not (isinstance(rule, tuple) and rule and len(rule) == arity.get(rule[0])):
+        rule, arity = self.stop_rule, (("fixed_list", 1), ("discrepancy", 2))
+        if not (isinstance(rule, tuple) and rule and (rule[0], len(rule)) in arity):
             raise ValueError(f"stop rule must be ('fixed_list',) or ('discrepancy', delta): {rule!r}")
         if len(rule) == 2 and not (np.isfinite(rule[1]) and rule[1] >= 0):
             raise ValueError("discrepancy delta must be finite and >= 0")

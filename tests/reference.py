@@ -1,7 +1,8 @@
 """Computations the tests use and the package does not: the full-grid
 circulant product and dense matrix, the complement of omega, the
-singular-integral quadrature oracle, the measurement map and energy form
-of the forward problem, the dual norm and inner product on a region, the
+singular-integral quadrature oracle, the eigenvalue oracle of the Dirichlet
+solvability decision, the measurement map and energy form of the forward
+problem, the dual norm and inner product on a region, the
 weighted adjoint of the interior-to-window operator, its singular modes,
 LAPACK's full SVD as the oracle of the operator's rank-adaptive one, the
 one-alpha truncated SVD, the scalar one-alpha-at-a-time minimal-L2 solver,
@@ -34,6 +35,7 @@ from fracrec import (
     solve_schedule,
     synthetic_measurement,
 )
+from fracrec.forward import UNIQUENESS_RTOL, _interior_matrix
 from fracrec.grid import Circulant, SimulationBox, _check_same_box
 
 
@@ -139,6 +141,16 @@ def fraclap_quadrature_oracle(
         )
         out[t] = cns * (tail - far_integral + central)
     return out
+
+
+def check_dirichlet_uniqueness(m: SobolevMachinery, sets: IndexSets, q: Potential) -> dict:
+    """{"ok": bool, "margin": smallest singular value} of the interior block
+    A_oo + diag(q), decided by its eigenvalues: "ok" when the smallest
+    |eigenvalue| exceeds UNIQUENESS_RTOL times the largest, the test
+    solve_dirichlet applies when its Cholesky certificate fails."""
+    svals = np.abs(np.linalg.eigvalsh(_interior_matrix(m, sets, q)))
+    margin = float(svals.min())
+    return {"ok": margin > UNIQUENESS_RTOL * float(svals.max()), "margin": margin}
 
 
 def dtn_apply(

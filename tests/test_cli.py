@@ -8,6 +8,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import scipy.linalg as sla
 import fracrec as fr
 import fracrec.cli as cli
 from fracrec.grid import bump_values
+from fracrec.svgplot import line_plot_svg
 from fracrec.cli import (
     EXIT_EIGENVALUE,
     EXIT_NONCONVERGENCE,
@@ -265,10 +267,12 @@ class TestMalformedInput:
         assert len(err) == 1 and err[0].startswith("error:")
         assert field in err[0] and "budget" in err[0]
 
-    # each used to print a numpy RuntimeWarning before its error line
+    # each used to print a numpy RuntimeWarning before its error line; a zero
+    # radius passes the footprint estimate on to build_box
     @pytest.mark.parametrize("key, value, want", [
         ("radius", 1e308, "box radius"), ("level", 1e300, "noise.level"),
-    ], ids=["box.radius-1e308", "noise.level-1e300"])
+        ("radius", 0.0, "box radius must be positive"),
+    ], ids=["box.radius-1e308", "noise.level-1e300", "box.radius-0"])
     def test_overflowing_value_prints_one_line(self, tmp_path, key, value, want):
         doc = base_problem()
         doc["box" if key == "radius" else "noise"][key] = value
@@ -321,24 +325,46 @@ class TestMalformedInput:
         if (verb, stop, level) == ("reconstruct", "fixed_list", 1e150):
             assert proc.returncode == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("scheme, extra", [
-        ({"stop_rule": {"kind": "discrepancy", "delta": None}}, []),
-        ({"stop_rule": {"kind": "discrepancy", "delta": [1]}}, []),
-        ({"stop_rule": {"kind": "discrepancy", "delta": float("nan")}}, []),
-        ({"stop_rule": {"kind": "discrepancy", "delta": -1.0}}, []),
-        ({"alpha_schedule": [1e-2, float("nan"), 1e-4]}, []),
-        ({}, ["--alpha-list", "1e-2,nan,1e-4"]),
-    ], ids=["delta-null", "delta-list", "delta-nan", "delta-negative", "schedule-nan",
-            "alpha-list-nan"])
-    def test_malformed_scheme_number_exits_1(self, tmp_path, capsys, scheme, extra):
+    # the scheme block is checked whole at parse, so the verbs that do not run
+    # the schedule refuse it too; the last three cases used to pass forward
+    # and spectrum, and a fixed_list delta passed every verb unread
+    @pytest.mark.parametrize("verb, scheme, extra", [
+        pytest.param(verb, scheme, extra, id=name if verb == "reconstruct" else f"{verb}-{name}")
+        for name, scheme, extra in [
+            ("delta-null", {"stop_rule": {"kind": "discrepancy", "delta": None}}, []),
+            ("delta-list", {"stop_rule": {"kind": "discrepancy", "delta": [1]}}, []),
+            ("delta-nan", {"stop_rule": {"kind": "discrepancy", "delta": float("nan")}}, []),
+            ("delta-negative", {"stop_rule": {"kind": "discrepancy", "delta": -1.0}}, []),
+            ("schedule-nan", {"alpha_schedule": [1e-2, float("nan"), 1e-4]}, []),
+            ("alpha-list-nan", {}, ["--alpha-list", "1e-2,nan,1e-4"]),
+            ("schedule-increasing", {"alpha_schedule": [1e-3, 1e-2]}, []),
+            ("schedule-nonpositive", {"alpha_schedule": [1e-2, 0.0]}, []),
+            ("fixed-list-with-delta", {"stop_rule": {"kind": "fixed_list", "delta": 0.1}}, []),
+        ]
+        for verb in ("reconstruct", "forward", "spectrum") if verb == "reconstruct" or not extra
+    ])
+    def test_malformed_scheme_number_exits_1(self, tmp_path, capsys, verb, scheme, extra):
         doc = base_problem()
         doc["scheme"].update(scheme)
         path = write_problem(tmp_path, doc)
         out = tmp_path / "rep.json"
-        assert main(["reconstruct", path, str(out)] + extra) == EXIT_VALIDATION
+        assert main([verb, path, str(out)] + extra) == EXIT_VALIDATION
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
+
+    def test_increasing_alpha_list_refused_before_the_forward_solve(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        real = cli.synthetic_measurement
+        monkeypatch.setattr(cli, "synthetic_measurement",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        path, out = write_problem(tmp_path, base_problem()), tmp_path / "rep.json"
+        assert main(["reconstruct", path, str(out), "--alpha-list", "1e-3,1e-2"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "strictly decreasing" in err[0]
+        assert calls == [] and not out.exists()
 
 
 class TestUsageErrors:
@@ -770,6 +796,11 @@ class TestSpectrumCommand:
         ]
         assert polylines and len(polylines[0].get("points").split()) > 5
 
+    @pytest.mark.parametrize("x, y", [([], []), ([1.0, 2.0], [1.0])], ids=["empty", "unequal"])
+    def test_plot_refuses_empty_or_unequal_series(self, x, y):
+        with pytest.raises(ValueError, match="nonempty and of equal length"):
+            line_plot_svg(x, y, "x", "y")
+
 
 class TestInstabilityCommand:
     def test_exit_code_tracks_slope_contract(self, tmp_path):
@@ -783,6 +814,20 @@ class TestInstabilityCommand:
         assert len(rows) == 12
         norms = np.array([float(r[1]) for r in rows])
         assert np.all(norms > 0)
+
+    # a fit above the bound is exit 4, with the CSV written and one stderr
+    # line unless --quiet; the real series at R >= 13 meets the bound
+    @pytest.mark.parametrize("quiet", [False, True], ids=["loud", "quiet"])
+    def test_slope_above_bound_exits_4(self, tmp_path, capsys, monkeypatch, quiet):
+        fit = {"slope": -0.5, "r2": 1.0, "k_fit": [1, 2, 3], "floor": 0.0}
+        monkeypatch.setattr(cli, "instability_series", lambda m, sets, k_max: SimpleNamespace(
+            k_values=[1, 2, 3], hk_norms=[1.0, 0.6, 0.36], decay_fit=fit))
+        csv = tmp_path / "inst.csv"
+        argv = ["instability", str(csv), "--R", "13"] + (["--quiet"] if quiet else [])
+        assert main(argv) == EXIT_SLOPE
+        assert "# slope,-0.5" in csv.read_text().splitlines()
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ([] if quiet else [f"decay slope -0.5000 above -log 2 = {-np.log(2.0):.4f}"])
 
     def test_small_radius_exits_1(self, tmp_path, capsys):
         code = main(["instability", str(tmp_path / "i.csv"), "--R", "5"])

@@ -25,7 +25,7 @@ def zero_q(sets_classic):
 
 class TestUniquenessCheck:
     def test_zero_potential_ok(self, mach, sets_classic, zero_q):
-        out = fr.check_dirichlet_uniqueness(mach, sets_classic, zero_q)
+        out = ref.check_dirichlet_uniqueness(mach, sets_classic, zero_q)
         assert out["ok"]
         assert out["margin"] > 0
 
@@ -33,12 +33,12 @@ class TestUniquenessCheck:
         a_oo = mach.frac_lap[np.ix_(sets_classic.omega, sets_classic.omega)]
         lam1 = sla.eigvalsh(a_oo)[0]
         q = fr.Potential(np.full(len(sets_classic.omega), -lam1))
-        out = fr.check_dirichlet_uniqueness(mach, sets_classic, q)
+        out = ref.check_dirichlet_uniqueness(mach, sets_classic, q)
         assert not out["ok"]
 
     def test_positive_shift_margin(self, mach, sets_classic):
         q = fr.Potential(np.full(len(sets_classic.omega), 5.0))
-        out = fr.check_dirichlet_uniqueness(mach, sets_classic, q)
+        out = ref.check_dirichlet_uniqueness(mach, sets_classic, q)
         assert out["ok"]
         assert out["margin"] >= 5.0
 
@@ -81,6 +81,13 @@ class TestSolveDirichlet:
         with pytest.raises(ValueError, match="omega"):
             fr.solve_dirichlet(mach, sets_classic, zero_q, bad)
 
+    @pytest.mark.parametrize("values, want", [
+        ([0.0, np.inf], "non-finite"), ([0.0] * 3, "potential has 3 values"),
+    ], ids=["non-finite", "wrong-length"])
+    def test_malformed_potential_rejected(self, mach, sets_classic, box, values, want):
+        with pytest.raises(ValueError, match=want):
+            fr.solve_dirichlet(mach, sets_classic, fr.Potential(values), w1_bump(box, sets_classic))
+
     def test_singular_potential_raises(self, mach, sets_classic, box):
         a_oo = mach.frac_lap[np.ix_(sets_classic.omega, sets_classic.omega)]
         lam1 = sla.eigvalsh(a_oo)[0]
@@ -104,7 +111,7 @@ class TestSolveDirichlet:
 
 class TestCholeskyCertificate:
     """solve_dirichlet certifies the block by Cholesky of a shifted copy and
-    leaves the decision to check_dirichlet_uniqueness when that fails."""
+    leaves the decision to the block's eigenvalues when that fails."""
 
     @staticmethod
     def constant_q_block(mach, sets, pick):

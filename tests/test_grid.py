@@ -52,6 +52,20 @@ class TestIndexSets:
         with pytest.raises(ValueError, match="positive distance"):
             fr.build_index_sets(box, [(-1, 1)], [(1.0, 2.0)], [(-3, -2)])
 
+    def test_inverted_interval_refused_before_the_gaps(self, box):
+        # the gap of an inverted interval means nothing; this one used to be
+        # refused as w1 touching omega
+        with pytest.raises(ValueError, match="inverted"):
+            fr.build_index_sets(box, [(1, -1)], [(-1, 0.5)], [(2, 3)])
+
+    def test_w2_may_touch_omega_but_not_overlap_it(self, box):
+        # the sign of the gap: (0.99, 3) overlaps omega between two nodes, so
+        # no node lies in both, and (1, 3) shares only a boundary point
+        with pytest.raises(ValueError, match="w2 overlaps omega"):
+            fr.build_index_sets(box, [(-1, 1)], [(4, 5)], [(0.99, 3)])
+        sets = fr.build_index_sets(box, [(-1, 1)], [(4, 5)], [(1, 3)])
+        assert box.nodes[sets.w2].min() > 1
+
     def test_w1_equal_w2_far_shell_allowed(self, box):
         sets = fr.build_index_sets(box, [(-1, 1)], [(12, 13)], [(12, 13)])
         assert np.array_equal(sets.w1, sets.w2)

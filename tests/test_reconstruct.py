@@ -94,6 +94,18 @@ class TestMeasurementToH:
         with pytest.raises(ValueError, match="noise level"):
             fr.synthetic_measurement(mach, sets_pipeline, q, f, noise_level=level)
 
+    @pytest.mark.parametrize("case, want", [
+        ("f-on-omega", "datum f has values on interior nodes"), ("g-length", "g has 7 values"),
+    ], ids=["f-on-omega", "g-length"])
+    def test_step_1_refuses_malformed_record(self, mach, sets_pipeline, box, case, want):
+        f, g = pipeline_datum(box, sets_pipeline), np.zeros(len(sets_pipeline.w2))
+        if case == "f-on-omega":
+            f = fr.GridFunction(f.values + fr.smooth_bump(box, 0.0, 0.5).values, box)
+        else:
+            g = np.zeros(7)
+        with pytest.raises(fr.PipelineError, match=rf"step \(1\): {want}"):
+            fr.measurement_to_h(mach, sets_pipeline, fr.MeasurementRecord(f=f, g=g))
+
     def test_zero_datum_rejected(self, box):
         with pytest.raises(ValueError, match="nonzero"):
             fr.MeasurementRecord(f=fr.GridFunction(np.zeros(box.size), box), g=np.zeros(3))

@@ -626,6 +626,12 @@ class TestRegularizerConfig:
         with pytest.raises(ValueError, match="stop rule"):
             fr.RegularizerConfig(scheme="spectral", stop_rule=("lcurve",))
 
+    def test_unhashable_stop_rule_kind_rejected(self):
+        # a problem file's stop_rule.kind may be any JSON value; a list used
+        # to end in a TypeError from the kind lookup
+        with pytest.raises(ValueError, match="stop rule must be"):
+            fr.RegularizerConfig(scheme="spectral", stop_rule=(["fixed_list"],))
+
     def test_negative_discrepancy_delta_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
             fr.RegularizerConfig(scheme="spectral", stop_rule=("discrepancy", -1e-3))
