@@ -40,6 +40,7 @@ __all__ = [
 
 # relative threshold on the smallest singular value of the interior block
 UNIQUENESS_RTOL = 1e-8
+EPS = np.finfo(float).eps
 
 
 class EigenvalueConditionError(RuntimeError):
@@ -54,7 +55,7 @@ class Potential:
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("potential has non-finite values")
 
 
@@ -81,12 +82,12 @@ def solve_dirichlet(
     eigenvalues decide, and EigenvalueConditionError is raised unless the
     smallest |eigenvalue| exceeds UNIQUENESS_RTOL times the largest.
     """
-    if np.any(f.values[sets.omega] != 0.0):
+    if f.values[sets.omega].any():
         raise ValueError("exterior datum f has nonzero values on omega nodes")
     block = _interior_matrix(m, sets, q)
-    shifted, n, eps = block.copy(), len(block), np.finfo(float).eps
+    shifted, n = block.copy(), len(block)
     # c = max|B_ij| times a factor below 1, so that it cannot overflow
-    shifted.flat[:: n + 1] -= np.abs(block).max() * (n * (UNIQUENESS_RTOL + 2 * n * (n + 1) * eps))
+    shifted.flat[:: n + 1] -= np.abs(block).max() * (n * (UNIQUENESS_RTOL + 2 * n * (n + 1) * EPS))
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

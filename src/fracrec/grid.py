@@ -128,7 +128,7 @@ class Circulant:
 
     def rows(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        supp = np.flatnonzero(x)
+        supp = x.nonzero()[0]
         if len(rows) * len(supp) > GATHER_MAX_ENTRIES:
             n = len(self.col)
             return np.fft.irfft(np.fft.rfft(self.col) * np.fft.rfft(x), n)[rows]
@@ -291,7 +291,7 @@ def hs_inner(m: SobolevMachinery, u: GridFunction, v: GridFunction) -> float:
     """Inhomogeneous Sobolev inner product u^T G_s v, over the supports of u and v."""
     _check_same_box(m, u)
     _check_same_box(m, v)
-    su = np.flatnonzero(u.values)
+    su = u.values.nonzero()[0]
     return float(u.values[su] @ m.gram_hs.rows(su, v.values))
 
 

@@ -60,9 +60,9 @@ class MeasurementRecord:
 
     def __post_init__(self) -> None:
         self.g = np.asarray(self.g, dtype=float)
-        if not np.all(np.isfinite(self.g)):
+        if not np.isfinite(self.g).all():
             raise ValueError("the measured values g must be finite")
-        if not np.any(self.f.values != 0.0):
+        if not self.f.values.any():
             raise ValueError("the exterior datum f must be nonzero")
 
 
@@ -85,7 +85,7 @@ def measurement_to_h(
     m: SobolevMachinery, sets: IndexSets, rec: MeasurementRecord
 ) -> np.ndarray:
     """Step (1): subtract the datum's own window contribution from g."""
-    if np.any(rec.f.values[sets.omega] != 0.0):
+    if rec.f.values[sets.omega].any():
         raise PipelineError(1, "datum f has values on interior nodes")
     if rec.g.shape != sets.w2.shape:
         raise PipelineError(1, f"g has {rec.g.size} values, window has {len(sets.w2)}")
@@ -99,7 +99,8 @@ def _trace_norms(
     the window residual and the Sobolev norm ||R v||, on the assembled
     operator."""
     resid = op.range_weight @ (op.matrix @ iterates - window_vals[:, None])
-    return np.linalg.norm(resid, axis=0), np.linalg.norm(op.domain_chol @ iterates, axis=0)
+    return (np.sqrt(np.add.reduce(np.square(resid), axis=0)),
+            np.sqrt(np.add.reduce(np.square(op.domain_chol @ iterates), axis=0)))
 
 
 def recover_interior(
@@ -130,21 +131,15 @@ def recover_interior(
     with np.errstate(over="ignore"):
         residuals, penalties = _trace_norms(op, iterates, window_vals)
 
-    hits = np.flatnonzero(residuals <= delta) if delta is not None else []
+    hits = (residuals <= delta).nonzero()[0] if delta is not None else []
     n = hits[0] + 1 if len(hits) else len(residuals)
     if not np.isfinite(np.concatenate((residuals[:n], penalties[:n], iterates[:, n - 1]))).all():
         rows = np.isfinite(residuals[:n]) & np.isfinite(penalties[:n])
         k = n - 1 if rows.all() else np.argmin(rows)
         raise PipelineError(2, f"the iterate at alpha {alphas[k]:.6g} has no finite "
                                "residual or norm: the data are too large")
-    trace = [
-        {
-            "alpha": float(alphas[k]),
-            "residual_dual": float(residuals[k]),
-            "penalty_hs": float(penalties[k]),
-        }
-        for k in range(n)
-    ]
+    trace = [{"alpha": a, "residual_dual": r, "penalty_hs": p} for a, r, p in
+             zip(alphas[:n].tolist(), residuals[:n].tolist(), penalties[:n].tolist())]
     return op.embed_domain(iterates[:, n - 1]), trace
 
 
@@ -164,9 +159,7 @@ def quotient_q(
         raise PipelineError(4, "state vanishes identically on omega (zero datum upstream?)")
     mask = np.abs(u_om) <= tau * peak
     au = m.frac_lap.rows(sets.omega, u.values)
-    q_vals = np.full(len(sets.omega), np.nan)
-    q_vals[~mask] = -au[~mask] / u_om[~mask]
-    return q_vals, mask
+    return np.divide(-au, u_om, out=np.full(len(u_om), np.nan), where=~mask), mask
 
 
 def full_pipeline(
@@ -192,7 +185,7 @@ def full_pipeline(
         raise
     except Exception as exc:  # noqa: BLE001 - step labeling
         raise PipelineError(2, str(exc)) from exc
-    if not np.any(v.values):
+    if not v.values.any():
         # f vanishes on omega (step 1), so u = v there and step 4 has no quotient
         row, stop = trace[-1], cfg.stop_rule
         fired = stop[0] == "discrepancy" and row["residual_dual"] <= stop[1]
@@ -214,7 +207,7 @@ def full_pipeline(
         nodal_mask=mask,
         residuals=trace,
         scheme_used=cfg,
-        mask_fraction=float(mask.mean()),
+        mask_fraction=float(np.count_nonzero(mask) / mask.size),
         tau=tau,
     )
 

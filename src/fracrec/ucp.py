@@ -126,7 +126,8 @@ class UcpOperator:
 
     def dual_norm(self, window_vals: np.ndarray) -> float:
         """Dual Sobolev norm of values given on the window."""
-        return float(np.linalg.norm(self.range_weight @ window_vals))
+        qh = self.range_weight @ window_vals
+        return float(np.sqrt(qh.dot(qh)))
 
     @property
     def sigmas(self) -> np.ndarray:
@@ -195,9 +196,11 @@ class RegularizerConfig:
             self.alpha_schedule = a
         rule, arity = self.stop_rule, (("fixed_list", 1), ("discrepancy", 2))
         if not (isinstance(rule, tuple) and rule and (rule[0], len(rule)) in arity):
-            raise ValueError(f"stop rule must be ('fixed_list',) or ('discrepancy', delta): {rule!r}")
+            raise ValueError("stop rule must be ('fixed_list',) or ('discrepancy', delta), in "
+                             'a problem file scheme.stop_rule {"kind": "fixed_list"} or '
+                             f'{{"kind": "discrepancy", "delta": d}}, got {rule!r}')
         if len(rule) == 2 and not (np.isfinite(rule[1]) and rule[1] >= 0):
-            raise ValueError("discrepancy delta must be finite and >= 0")
+            raise ValueError("discrepancy delta (scheme.stop_rule.delta) must be finite and >= 0")
 
 
 def default_alpha_schedule(sigma1: float, kmax: int = 12, step: float = 0.5) -> np.ndarray:
@@ -360,19 +363,19 @@ def _minimal_l2_solve(
             f"numerical null space of the control Hessian has norm {null:.3e} >= alpha"
         )
     alphas = alphas[:n]
-    work = np.flatnonzero(alphas < nb)  # elsewhere zero is optimal
+    work = (alphas < nb).nonzero()[0]  # elsewhere zero is optimal
     a = alphas[work]
 
     def reach(log_mu: np.ndarray) -> np.ndarray:  # mu ||y(mu)|| per log mu
         mu = np.exp(log_mu)[:, None]
-        return np.linalg.norm(mu * beta / (d + mu), axis=1)
+        return np.sqrt(np.add.reduce(np.square(mu * beta / (d + mu)), axis=1))
 
     lo = np.log(np.min(d[d > 0.0], initial=np.inf) * np.sqrt(a**2 - null**2) / nb)
     hi = np.log(d[-1] * a / (nb - a))
     reach_lo = reach(lo)
     steps = np.zeros(n, dtype=int)
     for _ in range(max_iterations):
-        act = np.flatnonzero(reach_lo < (1.0 - tol) * a)
+        act = (reach_lo < (1.0 - tol) * a).nonzero()[0]
         if not len(act):
             break
         steps[work[act]] += 1
@@ -383,10 +386,10 @@ def _minimal_l2_solve(
         hi[act[~below]] = mid[~below]
     y = np.zeros((len(b), n))
     y[:, work] = ws.eigvecs @ (beta[:, None] / (d[:, None] + np.exp(lo)))
-    residual = np.linalg.norm(ws.smooth_hessian @ y - b[:, None], axis=0)
+    residual = np.sqrt(np.add.reduce(np.square(ws.smooth_hessian @ y - b[:, None]), axis=0))
     stalled = np.zeros(n, dtype=bool)
     stalled[work] = reach_lo < (1.0 - tol) * a
-    fails = np.flatnonzero(stalled | (residual > alphas * (1.0 + tol)))
+    fails = (stalled | (residual > alphas * (1.0 + tol))).nonzero()[0]
     if len(fails) and fails[0] == 0:
         raise OptimizerNonConvergence(
             f"{max_iterations} bisection steps did not reach relative tolerance {tol:.1e} "

@@ -6,9 +6,10 @@ problem, the dual norm and inner product on a region, the
 weighted adjoint of the interior-to-window operator, its singular modes,
 LAPACK's full SVD as the oracle of the operator's rank-adaptive one, the
 one-alpha truncated SVD, the scalar one-alpha-at-a-time minimal-L2 solver,
-window data synthesized on a 2x finer grid, the Runge approximation of an
-interior target by forward states, and nearest-neighbor infill of masked
-quotient nodes."""
+the trace rows' norms by np.linalg.norm, the quotient by boolean-mask
+gathers, window data synthesized on a 2x finer grid, the Runge
+approximation of an interior target by forward states, and
+nearest-neighbor infill of masked quotient nodes."""
 
 from __future__ import annotations
 
@@ -334,6 +335,23 @@ def minimal_l2_oracle_iterates(
         if delta is not None and np.linalg.norm(resid) <= delta:
             break
     return np.stack(cols, axis=1)
+
+
+def trace_norms(op: UcpOperator, iterates: np.ndarray, window_vals: np.ndarray):
+    """The trace rows' dual residual norms and Sobolev norms per iterate
+    column, by np.linalg.norm."""
+    resid = op.range_weight @ (op.matrix @ iterates - window_vals[:, None])
+    return np.linalg.norm(resid, axis=0), np.linalg.norm(op.domain_chol @ iterates, axis=0)
+
+
+def quotient_masked_gather(m: SobolevMachinery, sets: IndexSets, u: GridFunction, tau: float):
+    """The quotient -(A u)/u and its mask by boolean-mask gathers."""
+    u_om = u.values[sets.omega]
+    mask = np.abs(u_om) <= tau * float(np.abs(u_om).max())
+    au = m.frac_lap.rows(sets.omega, u.values)
+    q_vals = np.full(len(sets.omega), np.nan)
+    q_vals[~mask] = -au[~mask] / u_om[~mask]
+    return q_vals, mask
 
 
 def fine_grid_measurement(

@@ -353,6 +353,20 @@ class TestMalformedInput:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
 
+    # RegularizerConfig's refusal of a stop rule names the problem-file key
+    @pytest.mark.parametrize("stop", [
+        {"kind": "foo"}, {"kind": ["fixed_list"]}, {"kind": "discrepancy"},
+    ], ids=["unknown-kind", "list-kind", "discrepancy-without-delta"])
+    def test_malformed_stop_rule_names_its_key(self, tmp_path, capsys, stop):
+        doc = base_problem()
+        doc["scheme"]["stop_rule"] = stop
+        path, out = write_problem(tmp_path, doc), tmp_path / "rep.json"
+        assert main(["reconstruct", path, str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: stop rule must be")
+        assert 'scheme.stop_rule {"kind": "fixed_list"} or {"kind": "discrepancy"' in err[0]
+        assert not out.exists()
+
     def test_increasing_alpha_list_refused_before_the_forward_solve(
         self, tmp_path, capsys, monkeypatch
     ):

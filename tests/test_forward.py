@@ -81,6 +81,19 @@ class TestSolveDirichlet:
         with pytest.raises(ValueError, match="omega"):
             fr.solve_dirichlet(mach, sets_classic, zero_q, bad)
 
+    # the omega check reads a NaN as a value and -0.0 as zero
+    def test_datum_omega_values_nan_refused_negative_zero_accepted(
+        self, mach, sets_classic, zero_q, box
+    ):
+        f = w1_bump(box, sets_classic)
+        nan_f, neg_f = f.copy(), f.copy()
+        nan_f.values[sets_classic.omega[3]] = np.nan
+        neg_f.values[sets_classic.omega] = -0.0
+        with pytest.raises(ValueError, match="omega"):
+            fr.solve_dirichlet(mach, sets_classic, zero_q, nan_f)
+        u = fr.solve_dirichlet(mach, sets_classic, zero_q, neg_f)
+        assert np.array_equal(u.values, fr.solve_dirichlet(mach, sets_classic, zero_q, f).values)
+
     @pytest.mark.parametrize("values, want", [
         ([0.0, np.inf], "non-finite"), ([0.0] * 3, "potential has 3 values"),
     ], ids=["non-finite", "wrong-length"])

@@ -186,6 +186,21 @@ class TestCirculant:
                 assert np.abs(ref.full_product(circ, x) - dense @ x).max() \
                     <= 1e-13 * np.abs(dense @ x).max()
 
+    def test_rows_read_negative_zero_as_zero_and_nan_as_support(self):
+        # rows sums over the nonzero entries of x alone: -0.0 drops out and a
+        # NaN stays in, as in the dense product; integer entries keep every
+        # sum exact, so the bits cannot depend on the order of summation
+        rng, n = np.random.default_rng(5), 16
+        circ = grid.Circulant(rng.integers(-3, 4, n).astype(float))
+        rows = np.array([0, 3, 7, 15])
+        ints = rng.integers(-2, 3, n).astype(float)
+        signed = np.where(ints == 0.0, -0.0, ints)
+        with_nan = signed.copy()
+        with_nan[5] = np.nan
+        for x in (signed, np.full(n, -0.0), with_nan):
+            want = circ[rows[:, None], np.arange(n)] @ x
+            assert np.array_equal(circ.rows(rows, x), want, equal_nan=True)
+
     def test_holds_two_columns_only(self, mach, box):
         assert mach.frac_lap.nbytes + mach.gram_hs.nbytes == 16 * box.size
 

@@ -106,6 +106,21 @@ class TestMeasurementToH:
         with pytest.raises(fr.PipelineError, match=rf"step \(1\): {want}"):
             fr.measurement_to_h(mach, sets_pipeline, fr.MeasurementRecord(f=f, g=g))
 
+    # the omega check reads a NaN as a value and -0.0 as zero
+    def test_step_1_omega_values_nan_refused_negative_zero_accepted(
+        self, mach, sets_pipeline, box, ground_truth
+    ):
+        q, f, _ = ground_truth
+        g = fr.synthetic_measurement(mach, sets_pipeline, q, f).g
+        nan_f, neg_f = f.copy(), f.copy()
+        nan_f.values[sets_pipeline.omega[3]] = np.nan
+        neg_f.values[sets_pipeline.omega] = -0.0
+        with pytest.raises(fr.PipelineError, match=r"step \(1\): datum f has values on interior"):
+            fr.measurement_to_h(mach, sets_pipeline, fr.MeasurementRecord(f=nan_f, g=g))
+        h = fr.measurement_to_h(mach, sets_pipeline, fr.MeasurementRecord(f=neg_f, g=g))
+        want = fr.measurement_to_h(mach, sets_pipeline, fr.MeasurementRecord(f=f, g=g))
+        assert np.array_equal(h, want)
+
     def test_zero_datum_rejected(self, box):
         with pytest.raises(ValueError, match="nonzero"):
             fr.MeasurementRecord(f=fr.GridFunction(np.zeros(box.size), box), g=np.zeros(3))
@@ -274,6 +289,19 @@ class TestTraceRowNorms:
                 resid = ref.hminus_s_norm(mach, fr.GridFunction(rvals, box), w2)
                 assert row["residual_dual"] == pytest.approx(resid, rel=1e-10)
 
+    @pytest.mark.parametrize("scheme", fr.ucp.SCHEMES)
+    def test_norms_bit_identical_to_linalg_norm(self, mach, sets_pipeline, op_pipeline,
+                                                ground_truth, scheme):
+        q, f, _ = ground_truth
+        rec = fr.synthetic_measurement(mach, sets_pipeline, q, f, noise_level=1e-3, seed=3)
+        h = fr.measurement_to_h(mach, sets_pipeline, rec)
+        cfg = fr.RegularizerConfig(scheme=scheme)
+        alphas = fr.default_alpha_schedule(float(op_pipeline.sigmas[0]))
+        iterates = fr.solve_schedule(op_pipeline, h, cfg, alphas)
+        got = fr.reconstruct._trace_norms(op_pipeline, iterates, h)
+        for a, b in zip(got, ref.trace_norms(op_pipeline, iterates, h)):
+            assert np.array_equal(a, b)
+
 
 def per_alpha_reference(op, h, scheme, alphas, delta):
     """Reference for the batched schedule, one alpha at a time: a filtered
@@ -424,6 +452,14 @@ class TestQuotient:
         assert rel <= 1e-6
         assert mask.mean() <= 0.05
 
+    def test_values_bit_identical_to_masked_gather(self, mach, sets_pipeline, ground_truth):
+        _, _, u = ground_truth
+        for tau in (1e-3, 0.5):
+            q_vals, mask = fr.quotient_q(mach, sets_pipeline, u, tau=tau)
+            want, want_mask = ref.quotient_masked_gather(mach, sets_pipeline, u, tau)
+            assert np.array_equal(mask, want_mask) and mask.any() == (tau == 0.5)
+            assert np.array_equal(q_vals, want, equal_nan=True)
+
     def test_zero_potential_ground_truth(self, mach, sets_pipeline, box):
         q0 = fr.Potential(np.zeros(len(sets_pipeline.omega)))
         f = pipeline_datum(box, sets_pipeline)
@@ -514,6 +550,7 @@ class TestFullPipeline:
         rel = np.abs(report.q_rec[good] - q.values[good]).max() / np.abs(q.values).max()
         assert rel <= 1e-1
         assert report.mask_fraction <= 0.05
+        assert type(report.mask_fraction) is float
 
     def test_report_invariants(self, mach, sets_pipeline, op_pipeline, box, ground_truth):
         q, f, _ = ground_truth
