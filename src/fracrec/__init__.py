@@ -54,14 +54,16 @@ from .reconstruct import (
     recover_interior,
     synthetic_measurement,
 )
-from .experiments import (
-    InstabilitySeries,
-    StabilitySweep,
-    dirichlet_eigenfunctions,
-    instability_series,
-    make_instability_geometry,
-    spectrum_report,
-    stability_sweep,
-)
+
+
+def __getattr__(name):
+    """The experiment names, which load `fracrec.experiments` on first use (PEP 562)."""
+    if name in ("InstabilitySeries", "StabilitySweep", "dirichlet_eigenfunctions",
+                "instability_series", "make_instability_geometry", "spectrum_report",
+                "stability_sweep"):
+        from . import experiments
+        return getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

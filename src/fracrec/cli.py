@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -48,15 +49,9 @@ from .ucp import (
     RegularizerConfig,
     assemble_ucp,
 )
-from .experiments import (
-    instability_series,
-    make_instability_geometry,
-    spectrum_report,
-    stability_sweep,
-)
-from .svgplot import line_plot_svg
 
-__all__ = ["main", "load_problem", "parse_problem", "serialize_problem", "ProblemValidationError"]
+__all__ = ["main", "run", "load_problem", "parse_problem", "serialize_problem",
+           "ProblemValidationError"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -479,6 +474,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .experiments import spectrum_report
+    from .svgplot import line_plot_svg
     _, m, sets, _ = _setup(args)
     rep = spectrum_report(assemble_ucp(m, sets))
     plot = [(args.plot, line_plot_svg(rep["j"], rep["log10_sigma"], "mode index j",
@@ -491,6 +488,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_instability(args) -> int:
+    from .experiments import instability_series, make_instability_geometry
     _number(args.N, "--N", integer=True)
     _number(args.kmax, "--kmax", integer=True)
     # omega and the shell's two unit intervals, counted without R, which
@@ -515,6 +513,7 @@ def _cmd_instability(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    from .experiments import stability_sweep
     cfg, m, sets, seed = _setup(args)
     sched = cfg["scheme"]["alpha_schedule"]
     levels = np.asarray([float(v) for v in args.levels.split(",")])
@@ -638,5 +637,13 @@ def main(argv: list | None = None) -> int:
         return next(code for cls, code in exit_codes.items() if isinstance(exc, cls))
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry point of `fracrec` and `python -m fracrec.cli`.  The
+    import heap is frozen first, so no later collection (the ones at exit too)
+    walks it; what `main` creates is still collected and finalized."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -527,6 +527,74 @@ class TestBlasThreadDefault:
         assert proc.stdout.strip() == str(want)
 
 
+class TestEntryPoint:
+    # the two ways a process enters the CLI: `python -m` and the console script's run()
+    LAUNCHERS = {
+        "module": [sys.executable, "-m", "fracrec.cli"],
+        "run": [sys.executable, "-c",
+                "import sys; from fracrec.cli import run; sys.argv[0] = 'fracrec'; run()"],
+    }
+    EXPERIMENT_NAMES = ["InstabilitySeries", "StabilitySweep", "dirichlet_eigenfunctions",
+                        "instability_series", "make_instability_geometry", "spectrum_report",
+                        "stability_sweep"]
+
+    @staticmethod
+    def launch(launcher, *argv):
+        # the child gets this process's BLAS thread setting, so its report can match main()'s
+        blas = {k: os.environ[k] for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+                if k in os.environ}
+        return subprocess.run(launcher + list(argv), env=child_env(**blas),
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("launcher", LAUNCHERS.values(), ids=LAUNCHERS.keys())
+    def test_launch_forms_write_main_s_report(self, tmp_path, launcher):
+        out, ref = tmp_path / "child.json", tmp_path / "main.json"
+        proc = self.launch(launcher, "reconstruct", str(EXAMPLE), str(out), "--quiet")
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        assert main(["reconstruct", str(EXAMPLE), str(ref), "--quiet"]) == EXIT_OK
+        assert out.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("launcher", LAUNCHERS.values(), ids=LAUNCHERS.keys())
+    def test_launch_forms_refuse_a_malformed_problem(self, tmp_path, launcher):
+        doc = base_problem()
+        doc["tau"] = 2.0
+        out = tmp_path / "o.json"
+        proc = self.launch(launcher, "reconstruct", write_problem(tmp_path, doc), str(out))
+        assert proc.returncode == EXIT_VALIDATION
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "tau" in err[0]
+        assert not out.exists()
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            assert tomllib.load(fh)["project"]["scripts"]["fracrec"] == "fracrec.cli:run"
+
+    def test_cli_import_leaves_the_experiments_unloaded(self):
+        script = ("import sys, fracrec.cli; print([m for m in sys.modules "
+                  "if m in ('fracrec.experiments', 'fracrec.svgplot')])")
+        proc = self.launch([sys.executable, "-c", script])
+        assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
+
+    def test_package_resolves_the_experiment_names_on_first_use(self):
+        script = (
+            "import json, sys, fracrec\n"
+            "names = json.loads(sys.argv[1])\n"
+            "got = [getattr(fracrec, name) for name in names]\n"
+            "import fracrec.experiments as ex\n"
+            "same = [obj is getattr(ex, name) for obj, name in zip(got, names)]\n"
+            "try:\n"
+            "    fracrec.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(json.dumps([same, str(exc)]))\n"
+        )
+        proc = self.launch([sys.executable, "-c", script], json.dumps(self.EXPERIMENT_NAMES))
+        assert proc.returncode == 0, proc.stderr
+        same, err = json.loads(proc.stdout)
+        assert same == [True] * 7
+        assert err == "module 'fracrec' has no attribute 'no_such_name'"
+
+
 class TestFootprintBudget:
     REGIONS = [(-1.0, 1.0), (4.0, 5.0), (-3.0, -1.25), (1.25, 3.0)]
 
@@ -834,8 +902,9 @@ class TestInstabilityCommand:
     @pytest.mark.parametrize("quiet", [False, True], ids=["loud", "quiet"])
     def test_slope_above_bound_exits_4(self, tmp_path, capsys, monkeypatch, quiet):
         fit = {"slope": -0.5, "r2": 1.0, "k_fit": [1, 2, 3], "floor": 0.0}
-        monkeypatch.setattr(cli, "instability_series", lambda m, sets, k_max: SimpleNamespace(
-            k_values=[1, 2, 3], hk_norms=[1.0, 0.6, 0.36], decay_fit=fit))
+        monkeypatch.setattr("fracrec.experiments.instability_series",
+                            lambda m, sets, k_max: SimpleNamespace(
+                                k_values=[1, 2, 3], hk_norms=[1.0, 0.6, 0.36], decay_fit=fit))
         csv = tmp_path / "inst.csv"
         argv = ["instability", str(csv), "--R", "13"] + (["--quiet"] if quiet else [])
         assert main(argv) == EXIT_SLOPE
