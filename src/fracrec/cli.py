@@ -148,7 +148,7 @@ def _parse_problem(doc: dict) -> dict:
     return cfg
 
 
-def footprint_bytes(radius: float, points: int, intervals: list, vectors: int = 64) -> float:
+def footprint_bytes(radius: float, points: int, intervals: list) -> float:
     """Estimated peak bytes of one command on a box with `points` nodes whose
     regions are the union of `intervals`, computed before anything is
     allocated.
@@ -156,18 +156,18 @@ def footprint_bytes(radius: float, points: int, intervals: list, vectors: int = 
     K, the node count of all regions together, follows from the interval
     lengths and the spacing.  Every block a solve gathers is at most K x K,
     and about four of them (index array, values, factor, product) are alive
-    at once; `vectors` full-grid arrays of doubles come on top.  The sum is
-    taken in floats, so an extreme size gives inf or NaN, never an error.
+    at once; 64 full-grid arrays of doubles come on top.  The sum is taken
+    in floats, so an extreme size gives inf or NaN, never an error.
     """
     h = 2.0 * radius / points
     k = sum(max(b - a, 0.0) / h + 1.0 for a, b in intervals)
-    return 8.0 * (4.0 * k * k + vectors * float(points))
+    return 8.0 * (4.0 * k * k + 64.0 * points)
 
 
-def _check_footprint(radius: float, points: int, intervals: list, vectors: int = 64) -> None:
+def _check_footprint(radius: float, points: int, intervals: list) -> None:
     if radius <= 0 or points <= 0:
         return  # build_box refuses these
-    need = footprint_bytes(radius, points, intervals, vectors)
+    need = footprint_bytes(radius, points, intervals)
     budget = f"the {FOOTPRINT_BUDGET_BYTES / 1e9:.1f} GB budget"
     if not np.isfinite(need):
         raise ProblemValidationError(
@@ -245,17 +245,30 @@ def _parse_scheme(obj: dict) -> dict:
                 "alpha_schedule must be 'auto' or a nonempty list of finite numbers"
             )
         sched = [float(a) for a in sched]
-    stop, rule = obj.get("stop_rule", "auto"), ("fixed_list",)
+    stop = obj.get("stop_rule", "auto")
     if stop != "auto":
         _require_keys(stop, {"kind"}, {"delta"}, "scheme.stop_rule")
         if "delta" in stop and not _is_number(stop["delta"]):
             raise ProblemValidationError("stop_rule.delta must be a finite number >= 0")
-        rule = tuple(stop[key] for key in ("kind", "delta") if key in stop)
+    block = {"name": obj["name"], "alpha_schedule": sched, "stop_rule": stop}
     try:
-        RegularizerConfig(obj["name"], None if sched == "auto" else sched, rule)
+        _run_config(block)
     except ValueError as exc:
         raise ProblemValidationError(str(exc)) from exc
-    return {"name": obj["name"], "alpha_schedule": sched, "stop_rule": stop}
+    return block
+
+
+def _run_config(scheme: dict, delta: float | None = None) -> RegularizerConfig:
+    """The RegularizerConfig of a normalized scheme block.  An "auto"
+    schedule is None (recover_interior derives it from sigma_1); an explicit
+    stop rule is its tuple; the "auto" stop rule runs the whole schedule, or
+    stops at the discrepancy level `delta` when one is given."""
+    sched, stop = scheme["alpha_schedule"], scheme["stop_rule"]
+    if stop != "auto":
+        rule = tuple(stop[key] for key in ("kind", "delta") if key in stop)
+    else:
+        rule = ("fixed_list",) if delta is None else ("discrepancy", delta)
+    return RegularizerConfig(scheme["name"], None if sched == "auto" else sched, rule)
 
 
 def _load_json(path: str):
@@ -384,29 +397,20 @@ def _make_datum(cfg: dict, m, sets) -> GridFunction:
 
 
 def _make_cfg(cfg: dict, m, sets, rec: MeasurementRecord) -> RegularizerConfig:
-    """Materialize the run configuration of the problem's scheme block.  An
-    "auto" schedule stays None (recover_interior derives it from sigma_1);
-    with the "auto" stop rule and noisy data, stop at DISCREPANCY_FACTOR x
-    the noise level x the dual norm of the step-1 datum of `rec`.  Noisy
-    data whose dual norm overflows are refused under every stop rule."""
-    sch = cfg["scheme"]
-    sched = sch["alpha_schedule"]
-    schedule = None if sched == "auto" else np.asarray(sched, dtype=float)
-    stop, lvl = sch["stop_rule"], cfg["noise"]["level"]
-    stop_rule = ("fixed_list",)
+    """The run configuration of the problem's scheme block (`_run_config`);
+    with noisy data the "auto" stop rule stops at DISCREPANCY_FACTOR x the
+    noise level x the dual norm of the step-1 datum of `rec`.  Noisy data
+    whose dual norm overflows are refused under every stop rule."""
+    lvl, delta = cfg["noise"]["level"], None
     if lvl > 0:
         with np.errstate(over="ignore"):
             h_dual = assemble_ucp(m, sets).dual_norm(measurement_to_h(m, sets, rec))
             delta = DISCREPANCY_FACTOR * lvl * h_dual
         if not np.isfinite(h_dual):
             raise ProblemValidationError(f"noise.level {lvl:g} gives data with no finite dual norm")
-        if stop == "auto":
-            if not np.isfinite(delta):
-                raise ProblemValidationError(f"noise.level {lvl:g} gives no finite discrepancy level")
-            stop_rule = ("discrepancy", delta)
-    if stop != "auto" and stop["kind"] == "discrepancy":
-        stop_rule = ("discrepancy", float(stop["delta"]))
-    return RegularizerConfig(scheme=sch["name"], alpha_schedule=schedule, stop_rule=stop_rule)
+        if cfg["scheme"]["stop_rule"] == "auto" and not np.isfinite(delta):
+            raise ProblemValidationError(f"noise.level {lvl:g} gives no finite discrepancy level")
+    return _run_config(cfg["scheme"], delta)
 
 
 def _measurement(cfg: dict, m, sets, seed: int) -> MeasurementRecord:
@@ -492,9 +496,9 @@ def _cmd_instability(args) -> int:
     _number(args.N, "--N", integer=True)
     _number(args.kmax, "--kmax", integer=True)
     # omega and the shell's two unit intervals, counted without R, which
-    # make_instability_geometry checks; the series keeps 2 * kmax full-grid functions
-    _check_footprint(args.box_radius, args.N, [(-1.0, 1.0), (0.0, 1.0), (0.0, 1.0)],
-                     64 + 2 * args.kmax)
+    # make_instability_geometry checks; the series' kmax rows of |omega| nodes,
+    # 2 * kmax < |omega| <= K, fit inside the K^2 term
+    _check_footprint(args.box_radius, args.N, [(-1.0, 1.0), (0.0, 1.0), (0.0, 1.0)])
     m, sets = make_instability_geometry(
         args.R, args.s, box_radius=args.box_radius, points=args.N
     )
@@ -515,11 +519,11 @@ def _cmd_instability(args) -> int:
 def _cmd_stability(args) -> int:
     from .experiments import stability_sweep
     cfg, m, sets, seed = _setup(args)
-    sched = cfg["scheme"]["alpha_schedule"]
+    run_cfg = _run_config(cfg["scheme"])
     levels = np.asarray([float(v) for v in args.levels.split(",")])
     sweep = stability_sweep(
-        assemble_ucp(m, sets), cfg["scheme"]["name"], args.trials, levels, args.s_prime,
-        seed=seed, alpha_schedule=None if sched == "auto" else sched)
+        assemble_ucp(m, sets), run_cfg.scheme, args.trials, levels, args.s_prime,
+        seed=seed, alpha_schedule=run_cfg.alpha_schedule)
     fm = sweep.fitted_modulus
     _write_csv(args.out_csv, "noise_level,mean_error",
                zip(sweep.noise_levels, sweep.recon_errors),

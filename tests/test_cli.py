@@ -381,6 +381,50 @@ class TestMalformedInput:
         assert calls == [] and not out.exists()
 
 
+class TestRunConfig:
+    """One function maps a normalized scheme block to its RegularizerConfig."""
+
+    @pytest.mark.parametrize("stop, delta, rule", [
+        ("auto", None, ("fixed_list",)),
+        ("auto", 0.5, ("discrepancy", 0.5)),
+        ({"kind": "fixed_list"}, 0.5, ("fixed_list",)),
+        ({"kind": "discrepancy", "delta": 1}, 0.5, ("discrepancy", 1)),
+    ], ids=["auto-exact", "auto-noisy", "fixed_list", "discrepancy"])
+    def test_stop_rule(self, stop, delta, rule):
+        block = {"name": "spectral", "alpha_schedule": "auto", "stop_rule": stop}
+        run = cli._run_config(block, delta)
+        assert run.scheme == "spectral" and run.alpha_schedule is None
+        assert run.stop_rule == rule
+
+    def test_explicit_schedule(self):
+        block = {"name": "tikhonov", "alpha_schedule": [1e-1, 1e-2], "stop_rule": "auto"}
+        np.testing.assert_array_equal(cli._run_config(block).alpha_schedule, [1e-1, 1e-2])
+
+    @pytest.mark.parametrize("stop", ["auto", {"kind": "fixed_list"}], ids=["auto", "fixed_list"])
+    def test_noise_sets_the_auto_discrepancy_level(self, tmp_path, stop):
+        doc = base_problem()
+        doc["noise"]["level"], doc["scheme"]["stop_rule"] = 1e-4, stop
+        args = SimpleNamespace(problem=write_problem(tmp_path, doc), seed=None)
+        cfg, m, sets, seed = cli._setup(args)
+        rec = cli._measurement(cfg, m, sets, seed)
+        h_dual = fr.assemble_ucp(m, sets).dual_norm(fr.measurement_to_h(m, sets, rec))
+        want = ("discrepancy", cli.DISCREPANCY_FACTOR * 1e-4 * h_dual)
+        assert cli._make_cfg(cfg, m, sets, rec).stop_rule == (
+            want if stop == "auto" else ("fixed_list",))
+
+    def test_integer_and_float_delta_write_one_report(self, tmp_path):
+        # the two problems hash apart; the rest of their reports agrees
+        reports = []
+        for delta in (1, 1.0):
+            doc = base_problem()
+            doc["scheme"]["stop_rule"] = {"kind": "discrepancy", "delta": delta}
+            path, out = write_problem(tmp_path, doc), tmp_path / "rep.json"
+            assert main(["reconstruct", path, str(out), "--quiet"]) == EXIT_OK
+            rep = json.loads(out.read_text())
+            reports.append((rep.pop("config_hash"), rep))
+        assert reports[0][0] != reports[1][0] and reports[0][1] == reports[1][1]
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["reconstruct", "p.json", "o.json", "--bogus"],
@@ -878,6 +922,18 @@ class TestSpectrumCommand:
         ]
         assert polylines and len(polylines[0].get("points").split()) > 5
 
+    # a one-node window used to get a slope fitted through one point, with
+    # numpy's RankWarning on stderr
+    def test_rank_one_window_writes_nan_slope(self, tmp_path, capsys, recwarn):
+        doc = json.loads(EXAMPLE.read_text())
+        h = 2 * doc["box"]["radius"] / doc["box"]["points"]
+        doc["w2"]["intervals"] = [[2 + 0.1 * h, 2 + 0.9 * h]]
+        path, csv = write_problem(tmp_path, doc), tmp_path / "spec.csv"
+        assert main(["spectrum", path, str(csv)]) == EXIT_OK
+        assert capsys.readouterr().err == "" and not recwarn.list
+        lines = csv.read_text().splitlines()
+        assert lines[-2:] == ["# numerical_rank,1", "# slope,nan"]
+
     @pytest.mark.parametrize("x, y", [([], []), ([1.0, 2.0], [1.0])], ids=["empty", "unequal"])
     def test_plot_refuses_empty_or_unequal_series(self, x, y):
         with pytest.raises(ValueError, match="nonempty and of equal length"):
@@ -957,6 +1013,15 @@ class TestInstabilityCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "kmax 12" in err[0]
         assert not out.exists()
+
+    # the footprint estimate used to count 2 * kmax full-grid vectors, so a
+    # kmax far past the grid was refused as too many points
+    def test_kmax_far_past_the_grid_is_refused_by_name(self, tmp_path, capsys):
+        out = tmp_path / "i.csv"
+        code = main(["instability", str(out), "--R", "13", "--kmax", "100000000"])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: kmax 100000000 needs more")
 
     def test_valid_seed_is_ignored(self, tmp_path):
         # the verb draws no noise, so a seed changes nothing

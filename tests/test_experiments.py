@@ -1,5 +1,7 @@
 """Spectrum report, oscillatory-source decay series, noise-stability sweep."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,26 +18,22 @@ class TestEigenfunctions:
     def test_unit_norm_and_single_sign(self, mach, sets_classic, box):
         vks = fr.dirichlet_eigenfunctions(mach, sets_classic, k_max=4)
         v1 = vks[0]
-        om = sets_classic.omega
-        nrm = np.sqrt(box.spacing * np.sum(v1.values[om] ** 2))
+        nrm = np.sqrt(box.spacing * np.sum(v1**2))
         assert nrm == pytest.approx(1.0, abs=1e-10)
-        assert np.all(v1.values[om] > 0)
+        assert np.all(v1 > 0)
 
     def test_orthogonality(self, mach, sets_classic, box):
         vks = fr.dirichlet_eigenfunctions(mach, sets_classic, k_max=6)
-        om = sets_classic.omega
         for i in range(6):
             for j in range(i + 1, 6):
-                ip = box.spacing * np.sum(vks[i].values[om] * vks[j].values[om])
+                ip = box.spacing * np.sum(vks[i] * vks[j])
                 assert abs(ip) <= 1e-10
 
     def test_second_difference_eigenvalue(self, mach, sets_classic, box):
         # interior second differences reproduce the interval eigenvalue (k pi / L)^2
         vks = fr.dirichlet_eigenfunctions(mach, sets_classic, k_max=3)
-        om = sets_classic.omega
         h = box.spacing
-        for k, vk in enumerate(vks, start=1):
-            vals = vk.values[om]
+        for k, vals in enumerate(vks, start=1):
             lap = (vals[2:] - 2 * vals[1:-1] + vals[:-2]) / h**2
             lam = (k * np.pi / 2.0) ** 2
             inner = slice(2, len(vals) - 4)  # stay away from the support edge
@@ -81,16 +79,32 @@ class TestInstabilitySeries:
         om = sets.omega
         h = m.box.spacing
         y = m.box.nodes[om]
-        for k, vk in zip(series.k_values, series.vk):
-            v = vk.values[om]
+        for k, v in zip(series.k_values, series.vk):
             assert np.sqrt(h * np.sum(v**2)) == pytest.approx(1.0, abs=1e-12)
-            assert np.all(vk.values[np.setdiff1d(np.arange(m.box.size), om)] == 0.0)
             for parity in (0, 1):
                 cls = np.arange(len(om)) % 2 == parity
                 for p in range(k):
                     moment = np.sum(v[cls] * y[cls] ** p)
                     scale = np.sum(np.abs(v[cls] * y[cls] ** p))
                     assert abs(moment) <= 1e-13 * scale
+
+    def test_vk_rows_live_on_omega(self, shell13):
+        m, sets = shell13
+        series = fr.instability_series(m, sets, k_max=12)
+        assert series.vk.shape == (12, len(sets.omega))
+
+    def test_series_allocates_no_full_grid_vector_per_k(self):
+        # the series used to keep 2 * k_max full-grid vectors, a 17.5 MB traced peak
+        n, k_max = 16384, 40
+        m, sets = fr.make_instability_geometry(13.0, 0.5, points=n)
+        fr.instability_series(m, sets, k_max=k_max)  # first-call imports stay out of the peak
+        tracemalloc.start()
+        try:
+            fr.instability_series(m, sets, k_max=k_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 * k_max * n
 
     def test_fit_skips_rounding_floor(self, shell13):
         m, sets = shell13
