@@ -535,6 +535,8 @@ def _cmd_stability(args) -> int:
 
 def _cmd_compare(args) -> int:
     schemes = args.schemes.split(",")
+    for name in schemes:
+        RegularizerConfig(name)  # refuses an unknown name before any solve
     if len(set(schemes)) < len(schemes):
         raise ProblemValidationError(f"--schemes names a scheme twice: {args.schemes}")
     cfg, m, sets, seed = _setup(args)

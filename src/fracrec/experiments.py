@@ -48,7 +48,6 @@ __all__ = [
     "make_instability_geometry",
     "stability_sweep",
     "spectrum_report",
-    "fit_loglinear",
 ]
 
 # the k range of the decay fit, both ends included
@@ -99,7 +98,7 @@ def dirichlet_eigenfunctions(
     return out
 
 
-def fit_loglinear(k: np.ndarray, values: np.ndarray) -> dict:
+def _fit_loglinear(k: np.ndarray, values: np.ndarray) -> dict:
     """Least-squares line through (k, log values); returns slope/intercept/r2."""
     logs = np.log(values)
     slope, intercept = np.polyfit(k, logs, 1)
@@ -160,10 +159,15 @@ def instability_series(
     the series sits about 4x below it.  `decay_fit` records the fitted k as
     `k_fit` and the threshold as `floor`.
 
-    Raises ValueError when 2 * k_max reaches the number of omega nodes (the
-    moment conditions would leave no function) or when fewer than two k in
-    DECAY_FIT_RANGE clear the floor.
+    Raises ValueError when k_max leaves fewer than two k in DECAY_FIT_RANGE,
+    when 2 * k_max reaches the number of omega nodes (the moment conditions
+    would leave no function) or when fewer than two k in DECAY_FIT_RANGE
+    clear the floor.
     """
+    lo, hi = DECAY_FIT_RANGE
+    if k_max < lo + 1:
+        raise ValueError(f"kmax {k_max} must be >= {lo + 1}: the decay fit needs two k in "
+                         f"{lo}..{hi}")
     n_om = len(sets.omega)
     if 2 * k_max >= n_om:
         raise ValueError(
@@ -187,14 +191,13 @@ def instability_series(
     # ||v_k|| = 1/sqrt(h) for every k, so the floor is one number per series
     per_node = np.finfo(float).eps * np.linalg.norm(m.frac_lap.col) / np.sqrt(h * m.box.size)
     floor = per_node * np.linalg.norm(q @ np.ones(len(sets.w2)))
-    lo, hi = DECAY_FIT_RANGE
     sel = (ks >= lo) & (ks <= hi) & (norms > floor)
     if np.count_nonzero(sel) < 2:
         raise ValueError(
             f"fewer than two k in {lo}..{hi} have window norms above the "
             f"rounding floor {floor:.3e}"
         )
-    fit = fit_loglinear(ks[sel], norms[sel])
+    fit = _fit_loglinear(ks[sel], norms[sel])
     fit["k_fit"] = [int(k) for k in ks[sel]]
     fit["floor"] = float(floor)
     return InstabilitySeries(k_values=ks, vk=vk, hk_norms=norms, decay_fit=fit)
@@ -327,7 +330,7 @@ def spectrum_report(op: UcpOperator) -> dict:
     j = np.arange(1, len(sig) + 1)
     lead = min(20, op.numerical_rank)
     # a line needs two points: below two leading modes the slope is nan
-    slope = fit_loglinear(j[:lead].astype(float), sig[:lead])["slope"] if lead >= 2 else np.nan
+    slope = _fit_loglinear(j[:lead].astype(float), sig[:lead])["slope"] if lead >= 2 else np.nan
     return {
         "j": j,
         "sigma": sig,

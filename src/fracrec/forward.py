@@ -106,8 +106,13 @@ def solve_diagnostics(
 ) -> dict:
     """Report-only diagnostics of the state u = solve_dirichlet(m, sets, q, f):
     "interior_residual", the L2 norm of the interior equations' residual over
-    ||u||_{H^s}, and "solver_conditioning", ||u||_{H^s} / ||f||_{H^s}."""
-    res_vec = m.frac_lap.rows(sets.omega, u.values) + q.values * u.values[sets.omega]
-    un, fn = hs_norm(m, u), hs_norm(m, f)
-    return {"interior_residual": l2_norm(m, res_vec) / un if un > 0 else 0.0,
+    ||u||_{H^s}, and "solver_conditioning", ||u||_{H^s} / ||f||_{H^s}.
+    Raises ValueError when a norm is not finite (data so large that it
+    overflows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_vec = m.frac_lap.rows(sets.omega, u.values) + q.values * u.values[sets.omega]
+        un, fn, rn = hs_norm(m, u), hs_norm(m, f), l2_norm(m, res_vec)
+    if not np.isfinite([un, fn, rn]).all():
+        raise ValueError("the state, datum or residual has no finite norm: the data are too large")
+    return {"interior_residual": rn / un if un > 0 else 0.0,
             "solver_conditioning": un / fn if fn > 0 else 0.0}

@@ -119,7 +119,8 @@ def recover_interior(
     the last iterate; ("discrepancy", delta) cuts the trace at the first
     row whose residual is at or below delta and returns that row's iterate.
     A kept row or a returned iterate that is not finite (data so large
-    that the norms overflow) raises PipelineError.
+    that the norms overflow) raises PipelineError; minimal_l2 refuses such
+    data by ValueError before it solves.
     """
     if cfg.alpha_schedule is None:
         alphas = default_alpha_schedule(float(op.sigmas[0]))
@@ -127,8 +128,8 @@ def recover_interior(
         alphas = cfg.alpha_schedule
     delta = cfg.stop_rule[1] if cfg.stop_rule[0] == "discrepancy" else None
     window_vals = np.asarray(window_vals, dtype=float)
-    iterates = solve_schedule(op, window_vals, cfg, alphas)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        iterates = solve_schedule(op, window_vals, cfg, alphas)
         residuals, penalties = _trace_norms(op, iterates, window_vals)
 
     hits = (residuals <= delta).nonzero()[0] if delta is not None else []

@@ -251,7 +251,7 @@ def solve_schedule(
     MINIMAL_L2_TOL and the step cap MINIMAL_L2_MAX_STEPS; its schedule ends
     before the first alpha without a certified minimizer, so it may return
     fewer columns, and it raises OptimizerNonConvergence when that is the
-    first alpha.
+    first alpha, or ValueError when ||Q h|| is not finite.
     """
     qh = op.range_weight @ np.asarray(window_vals, dtype=float)
     if cfg.scheme == "minimal_l2":
@@ -355,6 +355,8 @@ def _minimal_l2_solve(
     alphas = np.asarray(alphas, dtype=float)
     d, beta = ws.eigvals, ws.eigvecs.T @ b
     nb, null = float(np.linalg.norm(b)), float(np.linalg.norm(beta[d == 0.0]))
+    if not nb < np.inf:  # inf or nan
+        raise ValueError("||Q h|| is not finite: the data are too large")
     # the null-space component does not depend on alpha: it bounds the schedule
     n = int(np.sum((alphas > null) | (alphas >= nb)))
     if n == 0:
@@ -430,8 +432,8 @@ def minimal_l2_reconstruct(
     unbounded below.  It also raises when ||S y - b|| on the formed S
     exceeds alpha (1 + `tol`): the zeroed eigenvalues still act there on
     the null components beta_i / mu of y, large when mu is tiny.  Raises
-    ValueError unless 0 < tol < 1, max_iterations >= 1 and alpha is finite
-    and positive.
+    ValueError unless 0 < tol < 1, max_iterations >= 1, alpha is finite
+    and positive, and the data's norm ||b|| is finite.
     """
     if not (0.0 < tol < 1.0 and max_iterations >= 1):
         raise ValueError("need 0 < tol < 1 and max_iterations >= 1")

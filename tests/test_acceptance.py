@@ -417,3 +417,46 @@ def test_criterion_11_determinism(tmp_path):
         rep_bytes[0] == rep_bytes[1] and csv_bytes[0] == csv_bytes[1],
         "reconstruct reports and stability CSVs byte-identical across reruns",
     )
+
+
+def _isolated_nodes(box, offsets):
+    """Windows of width h/2 around single nodes of the example window (1.25, 3)
+    and its mirror, at the given node offsets counted outward from omega."""
+    x, quarter = box.nodes, box.spacing / 4
+    right = np.nonzero((x > 1.25) & (x < 3.0))[0]
+    left = np.nonzero((x > -3.0) & (x < -1.25))[0][::-1]
+    return sorted((x[side[o]] - quarter, x[side[o]] + quarter)
+                  for side in (left, right) for o in offsets)
+
+
+def test_disjoint_windows(box, mach):
+    # the paper's claim: q is recovered from data on arbitrary, possibly
+    # disjoint exterior sets.  Spectral scheme, exact data, the auto schedule
+    # run whole.  Each row: w2, numerical rank, and bounds on the q error
+    # relative to max|q| over all unmasked nodes and over |x| < 0.75; a
+    # bound is the measured error plus 10%, rounded up at two digits
+    third = range(0, 24, 3)  # every third node, eight per side
+    rows = {
+        "two intervals": (W2_PIPELINE, 30, (0.12, 0.12)),
+        "(1.25, 3)": ([(1.25, 3.0)], 19, (0.89, 0.43)),
+        "(8, 10)": ([(8.0, 10.0)], 11, (0.87, 0.48)),
+        "every third node, 8 per side": (_isolated_nodes(box, third), 16, (0.19, 0.18)),
+        "every third node, 4 per side": (_isolated_nodes(box, third[:4]), 8, None),
+        "every third node, 2 per side": (_isolated_nodes(box, third[:2]), 4, None),
+    }
+    details, ok = [], True
+    for name, (w2, rank, bounds) in rows.items():
+        sets = fr.build_index_sets(box, OMEGA, W1_PIPELINE, w2)
+        q, f = pipeline_problem(mach, sets)
+        report = fr.full_pipeline(mach, sets, fr.synthetic_measurement(mach, sets, q, f),
+                                  fr.RegularizerConfig(scheme="spectral"))
+        good = ~report.nodal_mask
+        inner = good & (np.abs(box.nodes[sets.omega]) < 0.75)
+        err = np.abs(report.q_rec - q.values) / np.abs(q.values).max()
+        errs = (float(err[good].max()), float(err[inner].max()))
+        got = fr.assemble_ucp(mach, sets).numerical_rank
+        ok &= got == rank and all(e <= b for e, b in zip(errs, bounds or ()))
+        details.append(f"{name}: {len(sets.w2)} nodes, rank {got} == {rank}"
+                       + ("" if bounds is None else
+                          f", q error {errs[0]:.3f} / {errs[1]:.3f} <= {bounds[0]} / {bounds[1]}"))
+    _report("disjoint windows", ok, "; ".join(details))

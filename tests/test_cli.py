@@ -16,6 +16,7 @@ import scipy.linalg as sla
 
 import fracrec as fr
 import fracrec.cli as cli
+from fracrec import experiments
 from fracrec.grid import bump_values
 from fracrec.svgplot import line_plot_svg
 from fracrec.cli import (
@@ -325,6 +326,29 @@ class TestMalformedInput:
         if (verb, stop, level) == ("reconstruct", "fixed_list", 1e150):
             assert proc.returncode == EXIT_VALIDATION
 
+    # a datum of amplitude 1e300 overflows the norms: forward used to exit 0 with
+    # nan in its report, minimal_l2 to exit 3, and all but the two filter
+    # reconstructs printed numpy RuntimeWarnings before their error line
+    @pytest.mark.parametrize("argv, amplitude", [
+        (["forward"], 1e300),
+        (["reconstruct"], 1e300),
+        (["reconstruct", "--scheme", "tikhonov"], 1e300),
+        (["reconstruct", "--scheme", "minimal_l2"], 1e300),
+        (["compare", "--schemes", "minimal_l2,spectral"], 1e300),
+        (["stability", "--levels", "1e300,1e200", "--trials", "1"], 1.0),
+    ], ids=["forward", "spectral", "tikhonov", "minimal_l2", "compare", "stability"])
+    def test_overflowing_data_exit_1_with_one_line(self, tmp_path, argv, amplitude):
+        doc = json.loads(EXAMPLE.read_text())
+        doc["f"]["params"]["amplitude"] = amplitude
+        path, out = write_problem(tmp_path, doc), tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "fracrec.cli", argv[0], path, str(out)]
+                              + argv[1:], env=child_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == EXIT_VALIDATION
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "too large" in err[0]
+        assert not out.exists()
+
     # the scheme block is checked whole at parse, so the verbs that do not run
     # the schedule refuse it too; the last three cases used to pass forward
     # and spectrum, and a fixed_list delta passed every verb unread
@@ -578,9 +602,6 @@ class TestEntryPoint:
         "run": [sys.executable, "-c",
                 "import sys; from fracrec.cli import run; sys.argv[0] = 'fracrec'; run()"],
     }
-    EXPERIMENT_NAMES = ["InstabilitySeries", "StabilitySweep", "dirichlet_eigenfunctions",
-                        "instability_series", "make_instability_geometry", "spectrum_report",
-                        "stability_sweep"]
 
     @staticmethod
     def launch(launcher, *argv):
@@ -632,10 +653,10 @@ class TestEntryPoint:
             "except AttributeError as exc:\n"
             "    print(json.dumps([same, str(exc)]))\n"
         )
-        proc = self.launch([sys.executable, "-c", script], json.dumps(self.EXPERIMENT_NAMES))
+        proc = self.launch([sys.executable, "-c", script], json.dumps(experiments.__all__))
         assert proc.returncode == 0, proc.stderr
         same, err = json.loads(proc.stdout)
-        assert same == [True] * 7
+        assert same == [True] * len(experiments.__all__)
         assert err == "module 'fracrec' has no attribute 'no_such_name'"
 
 
@@ -654,6 +675,14 @@ class TestFootprintBudget:
         doc["box"]["points"] = 2**20
         with pytest.raises(ProblemValidationError, match="budget"):
             parse_problem(doc)
+
+    def test_budget_keeps_every_product_on_the_gather_path(self):
+        # a problem of K region nodes passes only if 32 K^2 <= the budget, and no
+        # product a verb makes has more than K x K block entries; past
+        # GATHER_MAX_ENTRIES a product moves to the rFFT path and its bits change
+        k = 1000.0
+        assert cli.footprint_bytes(256.0, 512, [(0.0, k - 1.0)]) >= 32 * k * k
+        assert cli.FOOTPRINT_BUDGET_BYTES / 32 <= fr.grid.GATHER_MAX_ENTRIES
 
     def test_over_budget_exits_1_before_any_output(self, tmp_path, capsys, monkeypatch):
         # a tiny budget refuses the default problem without building anything
@@ -1014,6 +1043,15 @@ class TestInstabilityCommand:
         assert len(err) == 1 and err[0].startswith("error:") and "kmax 12" in err[0]
         assert not out.exists()
 
+    # these used to be refused as fewer than two k above the rounding floor
+    @pytest.mark.parametrize("kmax", ["2", "0", "-3"])
+    def test_kmax_below_the_fit_range_is_refused_by_name(self, tmp_path, capsys, kmax):
+        out = tmp_path / "i.csv"
+        assert main(["instability", str(out), "--R", "13", "--kmax", kmax]) == EXIT_VALIDATION
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: kmax {kmax} must be >= 3: the decay fit needs two k in 2..12"]
+        assert not out.exists()
+
     # the footprint estimate used to count 2 * kmax full-grid vectors, so a
     # kmax far past the grid was refused as too many points
     def test_kmax_far_past_the_grid_is_refused_by_name(self, tmp_path, capsys):
@@ -1119,10 +1157,18 @@ class TestCompareCommand:
         assert "interior part is zero" in err[0] and "delta" in err[0]
         assert not out.exists()
 
-    def test_unknown_scheme_exits_1(self, tmp_path):
-        path = write_problem(tmp_path, base_problem())
-        code = main(["compare", path, str(tmp_path / "c.csv"), "--schemes", "spectral,magic"])
-        assert code == EXIT_VALIDATION
+    # an empty name used to be refused as a repeated one, and an unknown one
+    # only after the measurement was made
+    def test_unknown_scheme_exits_1(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = cli.synthetic_measurement
+        monkeypatch.setattr(cli, "synthetic_measurement",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        path, out = write_problem(tmp_path, base_problem()), tmp_path / "c.csv"
+        for schemes, name in (("spectral,magic", "'magic'"), (",", "''")):
+            assert main(["compare", path, str(out), "--schemes", schemes]) == EXIT_VALIDATION
+            assert capsys.readouterr().err.splitlines() == [f"error: unknown scheme {name}"]
+        assert calls == [] and not out.exists()
 
     def test_repeated_scheme_exits_1(self, tmp_path, capsys):
         path = write_problem(tmp_path, base_problem())

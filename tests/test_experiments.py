@@ -124,6 +124,8 @@ class TestInstabilitySeries:
         monkeypatch.setattr(fr.experiments, "DECAY_FIT_RANGE", (10, 12))
         with pytest.raises(ValueError, match="rounding floor"):
             fr.instability_series(m, sets, k_max=12)
+        with pytest.raises(ValueError, match=r"kmax 10 must be >= 11: .* two k in 10\.\.12"):
+            fr.instability_series(m, sets, k_max=10)
 
     def test_scaled_norms_bounded_constant_reported(self, shell13):
         # max_k ||h_k|| 2^k is finite and reported per run

@@ -1,17 +1,21 @@
 """The package exports only what it runs: every name a module lists in
 `__all__` is read, as an AST Name or Attribute, somewhere in the package
-outside `__init__.py` (whose imports re-export it and so do not count), or
-is exempt for a named file outside the package that reads it.  `ucp` and
-`forward` are independent layers over `grid`, so `ucp` imports no module
-above `grid`."""
+outside `__init__.py`, or is exempt for a named file outside the package
+that reads it.  Those lists are the package surface: `fracrec` holds
+exactly the names of the four layers' `__all__`, and serves exactly
+`experiments.__all__` on first use.  `ucp` and `forward` are independent
+layers over `grid`, so `ucp` imports no module above `grid`."""
 
 import ast
+import importlib
 import pathlib
 import re
+import types
 
 import pytest
 
 import fracrec
+from fracrec import experiments
 
 SRC = pathlib.Path(fracrec.__file__).parent
 TREES = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
@@ -74,3 +78,23 @@ def test_ucp_imports_no_layer_above_grid():
         elif isinstance(node, ast.Import):
             parts |= {part for a in node.names for part in a.name.split(".")}
     assert not parts & {"forward", "reconstruct", "experiments", "cli"}
+
+
+def test_package_names_are_the_layers_exports():
+    lists = [importlib.import_module(f"fracrec.{mod}").__all__
+             for mod in ("grid", "forward", "ucp", "reconstruct")]
+    assert sum(map(len, lists)) == len(set().union(*lists)), "two layers export one name"
+    public = {name for name, val in vars(fracrec).items() if not name.startswith("_")
+              and not (isinstance(val, types.ModuleType) and val.__name__.startswith("fracrec."))}
+    assert sorted(public ^ set().union(*lists)) == []
+
+
+def test_package_serves_exactly_the_experiments_exports():
+    def served(name):
+        try:
+            return fracrec.__getattr__(name) is getattr(experiments, name)
+        except AttributeError:
+            return False
+
+    candidates = {name for name in vars(experiments) if not name.startswith("_")}
+    assert sorted({name for name in candidates if served(name)} ^ set(experiments.__all__)) == []
