@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -75,6 +76,8 @@ def _fmt(v: float) -> str:
 
 
 def _require_keys(obj: dict, required: set, optional: set, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ProblemValidationError(f"{where} must be an object")
     keys = set(obj)
     unknown = keys - required - optional
     if unknown:
@@ -159,8 +162,7 @@ def footprint_bytes(radius: float, points: int, intervals: list) -> float:
     at once; 64 full-grid arrays of doubles come on top.  The sum is taken
     in floats, so an extreme size gives inf or NaN, never an error.
     """
-    h = 2.0 * radius / points
-    k = sum(max(b - a, 0.0) / h + 1.0 for a, b in intervals)
+    k = sum(max(b - a, 0.0) * points / (2.0 * radius) + 1.0 for a, b in intervals)
     return 8.0 * (4.0 * k * k + 64.0 * points)
 
 
@@ -212,8 +214,6 @@ def _parse_profile(obj: dict, where: str, kinds: set) -> dict:
     if kind not in kinds:
         raise ProblemValidationError(f"{where}.kind must be one of {sorted(kinds)}")
     params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ProblemValidationError(f"{where}.params must be an object")
     required, optional = _PROFILE_PARAMS[kind]
     _require_keys(params, required, optional, f"{where}.params")
     for key, val in params.items():
@@ -295,15 +295,17 @@ def config_hash(cfg: dict) -> str:
 
 def _atomic_write(*files: tuple[str, str]) -> None:
     """Write each (path, text) pair by a temp file with the mode 0o666 & ~umask
-    of open(path, "w"); no target may be a directory, and all temp files are
-    written before any is renamed, so a failed write changes no target.  An
-    OSError names the failing path."""
+    of open(path, "w"); no target may be a directory or resolve to another's
+    file, and all temp files are written before any is renamed, so a failed
+    write changes no target.  An OSError names the failing path."""
     os.umask(umask := os.umask(0))  # reading the umask sets it, so set it back
-    temps = []
+    temps, real = [], [os.path.realpath(path) for path, _ in files]
     try:
-        for path, _ in files:
+        for k, (path, _) in enumerate(files):
             if os.path.isdir(path) and not os.path.islink(path):  # rename replaces a link
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            if real[k] in real[:k]:
+                raise OSError("another output resolves to the same file")
         for path, text in files:
             fd, tmp = tempfile.mkstemp("~", ".tmp-", os.path.dirname(os.path.abspath(path)))
             temps.append(tmp)
@@ -445,7 +447,7 @@ def _cmd_reconstruct(args) -> int:
         cfg["scheme"]["name"] = args.scheme
     if args.tau is not None:
         cfg["tau"] = args.tau
-    if args.alpha_list:
+    if args.alpha_list is not None:
         cfg["scheme"]["alpha_schedule"] = [float(a) for a in args.alpha_list.split(",")]
     cfg, m, sets, seed = _setup(args, cfg)
     start = time.monotonic()
@@ -465,11 +467,7 @@ def _cmd_reconstruct(args) -> int:
         "q_rec": [_fmt(v) for v in report.q_rec],
         "nodal_mask": [bool(b) for b in report.nodal_mask],
         "mask_fraction": _fmt(report.mask_fraction),
-        "trace": [
-            {"alpha": _fmt(r["alpha"]), "residual_dual": _fmt(r["residual_dual"]),
-             "penalty_hs": _fmt(r["penalty_hs"])}
-            for r in report.residuals
-        ],
+        "trace": [{key: _fmt(v) for key, v in row.items()} for row in report.residuals],
     })
     if not args.quiet:
         print(f"reconstruct: scheme={report.scheme_used.scheme} "
@@ -637,7 +635,9 @@ def main(argv: list | None = None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ProblemValidationError(f"--seed must be >= 0, got {args.seed}")
-        return args.fn(args)
+        with warnings.catch_warnings():  # the caller's handler comes back on exit
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            return args.fn(args)
     except tuple(exit_codes) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in exit_codes.items() if isinstance(exc, cls))

@@ -208,10 +208,10 @@ def build_box(radius: float, points: int) -> SimulationBox:
 
     `points` must be a power of two (>= 64) for transform efficiency.
     """
-    if not 0.0 < 2.0 * float(radius) < np.inf:
-        raise ValueError(f"box radius must be positive with a finite width 2 R, got {radius}")
     if not _is_power_of_two(points) or points < 64:
         raise ValueError(f"points per axis must be a power of two >= 64, got {points}")
+    if not 0.0 < 2.0 * float(radius) / points < np.inf:
+        raise ValueError(f"box radius must be positive with 0 < 2 R / {points} < inf: {radius}")
     return SimulationBox(float(radius), int(points))
 
 
@@ -274,12 +274,15 @@ def _circulant_column(symbol: np.ndarray) -> np.ndarray:
 
 
 def build_sobolev(box: SimulationBox, order: FractionalOrder) -> SobolevMachinery:
-    """Assemble the operator and norm circulants for one box and order s."""
+    """The operator and norm circulants of one box and order s; a non-finite one is refused."""
     h = box.spacing
-    xi = 2.0 * np.pi * np.fft.fftfreq(box.size, d=h)
-    frac_lap = Circulant(_circulant_column(np.abs(xi) ** (2.0 * order.s)))
-    gram_hs = Circulant(h * _circulant_column((1.0 + xi ** 2) ** order.s))
-    return SobolevMachinery(box, order, frac_lap, gram_hs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xi = 2.0 * np.pi * np.fft.fftfreq(box.size, d=h)
+        frac_lap = _circulant_column(np.abs(xi) ** (2.0 * order.s))
+        gram_hs = h * _circulant_column((1.0 + xi ** 2) ** order.s)
+    if not (np.isfinite(frac_lap).all() and np.isfinite(gram_hs).all()):
+        raise ValueError(f"box spacing {h:g} is too fine: the Sobolev symbols overflow")
+    return SobolevMachinery(box, order, Circulant(frac_lap), Circulant(gram_hs))
 
 
 def _check_same_box(m: SobolevMachinery, u: GridFunction) -> None:

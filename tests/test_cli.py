@@ -6,6 +6,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
@@ -73,6 +74,29 @@ def child_env(**overrides):
     return env
 
 
+def with_field(doc, key, value):
+    """`doc` with the field at the dotted `key` set to `value`."""
+    *parents, leaf = key.split(".")
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[leaf] = value
+    return doc
+
+
+def scaled_problem(radius):
+    """base_problem() on a box of `radius`, with every length scaled alike."""
+    doc = base_problem()
+    c = radius / doc["box"]["radius"]
+    for name in ("omega", "w1", "w2"):
+        doc[name]["intervals"] = [[a * c, b * c] for a, b in doc[name]["intervals"]]
+    for name in ("q", "f"):
+        doc[name]["params"]["center"] *= c
+        doc[name]["params"]["width"] *= c
+    doc["box"]["radius"] = radius
+    return doc
+
+
 def write_problem(tmp_path, doc, name="prob.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -138,16 +162,41 @@ class TestMalformedInput:
         pytest.param("box.points", 10**400, id="box.points-huge-int"),
     ])
     def test_wrong_json_type_exits_1(self, tmp_path, capsys, key, value):
-        doc = base_problem()
-        *parents, leaf = key.split(".")
-        node = doc
-        for name in parents:
-            node = node[name]
-        node[leaf] = value
-        path = write_problem(tmp_path, doc)
+        path = write_problem(tmp_path, with_field(base_problem(), key, value))
         assert main(["reconstruct", path, str(tmp_path / "rep.json")]) == EXIT_VALIDATION
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:")
+
+    # only q.params used to be checked to be an object: a string scheme was
+    # refused by its letters, a list omega as an unhashable type
+    @pytest.mark.parametrize("value", ["spectral", [[-1.0, 1.0]], 3],
+                             ids=["string", "list", "number"])
+    @pytest.mark.parametrize("block", ["problem", "box", "noise", "scheme", "scheme.stop_rule",
+                                       "omega", "q", "q.params", "g"])
+    def test_block_that_is_not_an_object_exits_1(self, tmp_path, capsys, block, value):
+        doc = value if block == "problem" else with_field(base_problem(), block, value)
+        path, out = write_problem(tmp_path, doc), tmp_path / "rep.json"
+        assert main(["reconstruct", path, str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [f"error: {block} must be an object"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, want", [
+        ("omega.intervals", [], "omega.intervals must be a nonempty list"),
+        ("q.kind", ["bump"], "malformed problem: unhashable type: 'list'"),
+        ("s", 1.5, "s must lie in (0,1)"),
+        ("q.kind", "ramp",
+         "q.kind must be one of ['bump', 'constant', 'file', 'piecewise', 'zero']"),
+        ("q", {"kind": "piecewise", "params": {"breaks": [0.0], "values": [1.0]}},
+         "piecewise needs len(values) == len(breaks) + 1"),
+        ("q.params.width", 0.0, "bump width must be positive"),
+    ], ids=["empty-intervals", "list-kind", "s-above-1", "unknown-kind", "piecewise-lengths",
+            "bump-width-0"])
+    def test_refusal_states_its_rule(self, tmp_path, capsys, key, value, want):
+        path = write_problem(tmp_path, with_field(base_problem(), key, value))
+        out = tmp_path / "rep.json"
+        assert main(["reconstruct", path, str(out)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [f"error: {want}"]
+        assert not out.exists()
 
     def test_non_finite_measured_g_exits_1(self, tmp_path, capsys):
         doc = base_problem()
@@ -258,7 +307,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("box, omega, field", [
         ({"radius": 16.0, "points": 10**300}, [[-1.0, 1.0]], "box.points"),
         ({"radius": 1e308, "points": 512}, [[-1e308, 1e308]], "box.radius"),
-    ], ids=["points-1e300", "radius-1e308"])
+        ({"radius": 5e-324, "points": 512}, [[-1.0, 1.0]], "box.radius"),
+    ], ids=["points-1e300", "radius-1e308", "radius-5e-324"])
     def test_unbounded_footprint_exits_1(self, tmp_path, capsys, box, omega, field):
         doc = base_problem()
         doc["box"], doc["omega"]["intervals"] = box, omega
@@ -273,7 +323,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize("key, value, want", [
         ("radius", 1e308, "box radius"), ("level", 1e300, "noise.level"),
         ("radius", 0.0, "box radius must be positive"),
-    ], ids=["box.radius-1e308", "noise.level-1e300", "box.radius-0"])
+        ("level", 1e155, "noise.level 1e+155 gives no finite discrepancy level"),
+    ], ids=["box.radius-1e308", "noise.level-1e300", "box.radius-0", "noise.level-1e155"])
     def test_overflowing_value_prints_one_line(self, tmp_path, key, value, want):
         doc = base_problem()
         doc["box" if key == "radius" else "noise"][key] = value
@@ -285,6 +336,18 @@ class TestMalformedInput:
         assert proc.returncode == EXIT_VALIDATION
         err = proc.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and want in err[0]
+
+    # the Sobolev symbols used to overflow with two numpy warnings, and the
+    # run went on to an unrelated error (reconstruct: an SVD that did not converge)
+    @pytest.mark.parametrize("verb", ["forward", "reconstruct"])
+    def test_overflowing_symbol_prints_one_line(self, tmp_path, verb):
+        path, out = write_problem(tmp_path, scaled_problem(1e-300)), tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "fracrec.cli", verb, path, str(out)],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == EXIT_VALIDATION
+        assert proc.stderr.splitlines() == [
+            "error: box spacing 3.90625e-303 is too fine: the Sobolev symbols overflow"]
+        assert not out.exists()
 
     # an explicit stop rule used to run on to exit 0 with inf and nan in the report
     @pytest.mark.parametrize("verb", ["reconstruct", "compare"])
@@ -361,6 +424,7 @@ class TestMalformedInput:
             ("delta-negative", {"stop_rule": {"kind": "discrepancy", "delta": -1.0}}, []),
             ("schedule-nan", {"alpha_schedule": [1e-2, float("nan"), 1e-4]}, []),
             ("alpha-list-nan", {}, ["--alpha-list", "1e-2,nan,1e-4"]),
+            ("alpha-list-empty", {}, ["--alpha-list", ""]),
             ("schedule-increasing", {"alpha_schedule": [1e-3, 1e-2]}, []),
             ("schedule-nonpositive", {"alpha_schedule": [1e-2, 0.0]}, []),
             ("fixed-list-with-delta", {"stop_rule": {"kind": "fixed_list", "delta": 0.1}}, []),
@@ -531,6 +595,21 @@ class TestOsErrors:
         assert not list(tmp_path.rglob(".tmp-*~"))
 
 
+class TestLibraryWarnings:
+    # a warning used to take two lines, the second a source line of cli.py
+    @pytest.mark.parametrize("verb", ["reconstruct", "compare"])
+    def test_warning_is_one_line_and_the_handler_is_restored(self, tmp_path, capsys, verb):
+        doc = base_problem()
+        doc["s"] = 0.01
+        path, out = write_problem(tmp_path, doc), tmp_path / "out"
+        handler = warnings.showwarning
+        assert main(["--quiet", verb, path, str(out)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: recovery with a merely bounded potential requires s >= 1/4; "
+            "running at s=0.01"]
+        assert warnings.showwarning is handler and out.exists()
+
+
 class TestOutputFiles:
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o027, 0o640)],
                              ids=["umask-022", "umask-027"])
@@ -565,6 +644,15 @@ class TestOutputFiles:
     def test_failed_plot_write_leaves_the_csv_as_it_was(self, tmp_path, capsys, existing):
         self.check_failed_plot(tmp_path, capsys, existing, "missing/s.svg",
                                "No such file or directory")
+
+    # the SVG used to replace the CSV, with exit 0
+    @pytest.mark.parametrize("plot", ["s.csv", "link"], ids=["same-path", "link-to-csv"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-csv", "existing-csv"])
+    def test_plot_at_the_csv_file_leaves_the_csv_as_it_was(self, tmp_path, capsys, existing,
+                                                           plot):
+        (tmp_path / "link").symlink_to("s.csv")
+        self.check_failed_plot(tmp_path, capsys, existing, plot,
+                               "another output resolves to the same file")
 
     @pytest.mark.parametrize("existing", [False, True], ids=["new-csv", "existing-csv"])
     def test_plot_target_directory_leaves_the_csv_as_it_was(self, tmp_path, capsys, existing):
@@ -967,6 +1055,17 @@ class TestSpectrumCommand:
     def test_plot_refuses_empty_or_unequal_series(self, x, y):
         with pytest.raises(ValueError, match="nonempty and of equal length"):
             line_plot_svg(x, y, "x", "y")
+
+    def test_plot_of_a_constant_series_stays_in_the_frame(self):
+        # a zero data range is widened to one unit, not divided by
+        svg = ET.fromstring(line_plot_svg([2.0, 2.0], [5.0, 5.0], "x", "y"))
+        frame = [e for e in svg.iter() if e.tag.endswith("rect")][1]
+        x0, y0 = float(frame.get("x")), float(frame.get("y"))
+        x1, y1 = x0 + float(frame.get("width")), y0 + float(frame.get("height"))
+        line = next(e for e in svg.iter() if e.tag.endswith("polyline"))
+        for pt in line.get("points").split():
+            px, py = map(float, pt.split(","))
+            assert x0 < px < x1 and y0 < py < y1
 
 
 class TestInstabilityCommand:

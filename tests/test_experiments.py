@@ -208,6 +208,12 @@ def least_squares_log_modulus(eta, err, energy):
 
 
 class TestLogModulusFit:
+    def test_zero_error_gives_no_fit(self):
+        eta = 10.0 ** np.arange(-2.0, -6.0, -1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):  # log(0) = -inf
+            fit = experiments._fit_log_modulus(eta, np.array([1e-2, 1e-3, 0.0, 1e-5]), 1.0)
+        assert np.isnan(fit["C"]) and np.isnan(fit["sigma"]) and fit["residual"] == np.inf
+
     def test_matches_multistart_least_squares(self, op_pipeline, monkeypatch):
         # the reference stops at least_squares' default 1e-8 tolerances; the
         # largest gaps seen on these ladders are 6.8e-6 in C and 7.3e-7 in sigma

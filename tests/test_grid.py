@@ -36,6 +36,8 @@ class TestBuildBox:
             fr.build_box(16.0, 32)
         with pytest.raises(ValueError):
             fr.build_box(-1.0, 128)
+        with pytest.raises(ValueError, match="0 < 2 R / 64 < inf"):  # 2 R / 64 rounds to 0
+            fr.build_box(5e-324, 64)
 
 
 class TestIndexSets:

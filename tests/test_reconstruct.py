@@ -125,6 +125,10 @@ class TestMeasurementToH:
         with pytest.raises(ValueError, match="nonzero"):
             fr.MeasurementRecord(f=fr.GridFunction(np.zeros(box.size), box), g=np.zeros(3))
 
+    def test_non_finite_g_rejected(self, box, sets_pipeline):
+        with pytest.raises(ValueError, match="g must be finite"):
+            fr.MeasurementRecord(f=pipeline_datum(box, sets_pipeline), g=[0.0, np.nan])
+
 
 class TestRecoverInterior:
     def test_zero_data_zero_result(self, op_pipeline):
@@ -539,6 +543,12 @@ class TestFullPipeline:
         report = fr.full_pipeline(mach, sets_pipeline, rec, deep_spectral(op_pipeline))
         good = ~report.nodal_mask
         assert np.abs(report.q_rec[good]).max() <= 1e-2
+
+    def test_tau_outside_the_unit_interval_fails_step_4(self, mach, sets_pipeline, ground_truth):
+        q, f, _ = ground_truth
+        rec = fr.synthetic_measurement(mach, sets_pipeline, q, f)
+        with pytest.raises(fr.PipelineError, match=r"step \(4\): tau must lie in \(0,1\)"):
+            fr.full_pipeline(mach, sets_pipeline, rec, fr.RegularizerConfig("spectral"), tau=2.0)
 
     def test_smooth_potential_exact_data(
         self, mach, sets_pipeline, op_pipeline, box, ground_truth
