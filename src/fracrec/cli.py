@@ -145,7 +145,7 @@ def _parse_problem(doc: dict) -> dict:
             raise ProblemValidationError(f"noise.{key} must be >= 0")
     if "g" in doc:
         _require_keys(doc["g"], {"path"}, set(), "g")
-        cfg["g"] = {"path": str(doc["g"]["path"])}
+        cfg["g"] = {"path": _string(doc["g"]["path"], "g.path")}
     _check_footprint(cfg["box"]["radius"], cfg["box"]["points"],
                      [iv for name in ("omega", "w1", "w2") for iv in cfg[name]["intervals"]])
     return cfg
@@ -197,6 +197,21 @@ def _number(v, where: str, integer: bool = False):
     return v if integer else float(v)
 
 
+def _string(v, where: str) -> str:
+    """`v` checked to be a JSON string."""
+    if not isinstance(v, str):
+        raise ProblemValidationError(f"{where} must be a string")
+    return v
+
+
+def _numbers(text: str, flag: str) -> list:
+    """The comma-separated numbers of a command-line flag."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ProblemValidationError(f"{flag} entries must be numbers, got {text!r}") from None
+
+
 # per profile kind: (required params, optional params)
 _PROFILE_PARAMS = {
     "zero": (set(), set()),
@@ -219,8 +234,7 @@ def _parse_profile(obj: dict, where: str, kinds: set) -> dict:
     for key, val in params.items():
         name = f"{where}.params.{key}"
         if key == "path":
-            if not isinstance(val, str):
-                raise ProblemValidationError(f"{name} must be a string")
+            _string(val, name)
         elif key in ("breaks", "values"):
             if not (isinstance(val, list) and all(map(_is_number, val))):
                 raise ProblemValidationError(f"{name} must be a list of finite numbers")
@@ -448,7 +462,7 @@ def _cmd_reconstruct(args) -> int:
     if args.tau is not None:
         cfg["tau"] = args.tau
     if args.alpha_list is not None:
-        cfg["scheme"]["alpha_schedule"] = [float(a) for a in args.alpha_list.split(",")]
+        cfg["scheme"]["alpha_schedule"] = _numbers(args.alpha_list, "--alpha-list")
     cfg, m, sets, seed = _setup(args, cfg)
     start = time.monotonic()
     rec = _measurement(cfg, m, sets, seed)
@@ -516,9 +530,9 @@ def _cmd_instability(args) -> int:
 
 def _cmd_stability(args) -> int:
     from .experiments import stability_sweep
+    levels = np.asarray(_numbers(args.levels, "--levels"))
     cfg, m, sets, seed = _setup(args)
     run_cfg = _run_config(cfg["scheme"])
-    levels = np.asarray([float(v) for v in args.levels.split(",")])
     sweep = stability_sweep(
         assemble_ucp(m, sets), run_cfg.scheme, args.trials, levels, args.s_prime,
         seed=seed, alpha_schedule=run_cfg.alpha_schedule)

@@ -65,7 +65,8 @@ def _interior_matrix(m: SobolevMachinery, sets: IndexSets, q: Potential) -> np.n
             f"potential has {len(q.values)} values but omega has {len(sets.omega)} nodes"
         )
     block = m.frac_lap[sets.omega[:, None], sets.omega]
-    block.flat[:: len(block) + 1] += q.values
+    # a gather is a new C-contiguous array, so ravel() is a view of it
+    block.ravel()[:: len(block) + 1] += q.values
     return block
 
 
@@ -87,7 +88,7 @@ def solve_dirichlet(
     block = _interior_matrix(m, sets, q)
     shifted, n = block.copy(), len(block)
     # c = max|B_ij| times a factor below 1, so that it cannot overflow
-    shifted.flat[:: n + 1] -= np.abs(block).max() * (n * (UNIQUENESS_RTOL + 2 * n * (n + 1) * EPS))
+    shifted.ravel()[:: n + 1] -= np.abs(block).max() * (n * (UNIQUENESS_RTOL + 2 * n * (n + 1) * EPS))
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

@@ -28,7 +28,6 @@ from .ucp import (
     RegularizerConfig,
     UcpOperator,
     assemble_ucp,
-    default_alpha_schedule,
     solve_schedule,
 )
 
@@ -111,7 +110,7 @@ def recover_interior(
     """Step (2): run the selected scheme over the alpha schedule.
 
     Returns the stop-rule iterate and the residual/penalty trace; without a
-    schedule, default_alpha_schedule(sigma_1) is run.  solve_schedule solves
+    schedule, the operator's default_schedule is run.  solve_schedule solves
     the whole schedule at once; minimal_l2 ends it before the first alpha
     without a certified minimizer.  Each trace row holds the dual norm of
     its iterate's window residual and the iterate's Sobolev norm, both
@@ -122,10 +121,7 @@ def recover_interior(
     that the norms overflow) raises PipelineError; minimal_l2 refuses such
     data by ValueError before it solves.
     """
-    if cfg.alpha_schedule is None:
-        alphas = default_alpha_schedule(float(op.sigmas[0]))
-    else:
-        alphas = cfg.alpha_schedule
+    alphas = op.default_schedule if cfg.alpha_schedule is None else cfg.alpha_schedule
     delta = cfg.stop_rule[1] if cfg.stop_rule[0] == "discrepancy" else None
     window_vals = np.asarray(window_vals, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -155,10 +151,11 @@ def quotient_q(
     if not (0.0 < tau < 1.0):
         raise ValueError(f"tau must lie in (0,1), got {tau}")
     u_om = u.values[sets.omega]
-    peak = float(np.abs(u_om).max())
+    size = np.abs(u_om)
+    peak = float(size.max())
     if peak == 0.0:
         raise PipelineError(4, "state vanishes identically on omega (zero datum upstream?)")
-    mask = np.abs(u_om) <= tau * peak
+    mask = size <= tau * peak
     au = m.frac_lap.rows(sets.omega, u.values)
     return np.divide(-au, u_om, out=np.full(len(u_om), np.nan), where=~mask), mask
 

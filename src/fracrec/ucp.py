@@ -23,7 +23,10 @@ schedule and returns its K iterates as the columns of one matrix:
   f(sigma) = 1[sigma >= alpha] / sigma (truncated SVD) or
   f(sigma) = sigma / (sigma^2 + alpha) (the minimizer of
   ||L w - h||_dual^2 + alpha ||w||_Hs^2).  A K x r matrix of filter
-  factors, one row per alpha, makes the schedule a few matrix products;
+  factors, one row per alpha, makes the schedule a few matrix products.
+  Those factors depend on the singular values alone, so on the operator's
+  own auto schedule, default_alpha_schedule(sigma_1), the operator keeps
+  them, one matrix per filter scheme;
 * minimal_l2: convex control formulation over window-supported exterior
   data with a norm (not squared-norm) penalty, minimized exactly by one
   eigendecomposition of the control Hessian and a bisection for the root
@@ -88,7 +91,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class UcpOperator:
     """Dense realization of the interior-to-window map with its weighted
-    geometry and, formed on first read, its SVD and minimal-L2 workspace."""
+    geometry and, formed on first read, its SVD, its auto schedule with the
+    filter factors on it, and its minimal-L2 workspace."""
 
     matrix: np.ndarray            # |W| x |omega|, rows are the w2 nodes
     omega: np.ndarray             # interior nodes; with w2, the key of the cache
@@ -110,6 +114,21 @@ class UcpOperator:
         triplets up to SVD_BLOCK nodes on either side, and above that the
         certified block of `_rank_adaptive_svd`."""
         return tuple(_read_only(a) for a in _rank_adaptive_svd(self.weighted))
+
+    @cached_property
+    def default_schedule(self) -> np.ndarray:
+        """default_alpha_schedule(sigma_1), read-only, computed on first use."""
+        return _read_only(default_alpha_schedule(float(self.sigmas[0])))
+
+    @cached_property
+    def spectral_gains(self) -> np.ndarray:
+        """The spectral filter factors on default_schedule, read-only, built on first use."""
+        return _read_only(_filter_gains("spectral", self.sigmas, self.default_schedule))
+
+    @cached_property
+    def tikhonov_gains(self) -> np.ndarray:
+        """The tikhonov filter factors on default_schedule, read-only, built on first use."""
+        return _read_only(_filter_gains("tikhonov", self.sigmas, self.default_schedule))
 
     @cached_property
     def minimal_l2_workspace(self) -> _MinimalL2Workspace:
@@ -246,7 +265,8 @@ def solve_schedule(
 
     spectral and tikhonov are one filtered solve R^-1 V diag(f_k) U^T Q h
     with filter factors f_k(sigma) = 1[sigma >= alpha_k] / sigma or
-    sigma / (sigma^2 + alpha_k).  minimal_l2 is one secular bisection (see
+    sigma / (sigma^2 + alpha_k); handed op.default_schedule itself, they read
+    the factors the operator keeps.  minimal_l2 is one secular bisection (see
     minimal_l2_reconstruct) on the same datum Q h, with the tolerance
     MINIMAL_L2_TOL and the step cap MINIMAL_L2_MAX_STEPS; its schedule ends
     before the first alpha without a certified minimizer, so it may return
@@ -259,13 +279,23 @@ def solve_schedule(
         y = _minimal_l2_solve(ws, qh, alphas, MINIMAL_L2_TOL, MINIMAL_L2_MAX_STEPS)[0]
         return ws.phi_map @ y
     u, sig, vt = op.svd_factors
-    a = np.asarray(alphas, dtype=float)[:, None]
-    if cfg.scheme == "spectral":
-        keep = sig >= a
-        gains = np.divide(1.0, sig, out=np.zeros(keep.shape), where=keep)
+    if alphas is not op.default_schedule:
+        gains = _filter_gains(cfg.scheme, sig, alphas)
+    elif cfg.scheme == "spectral":
+        gains = op.spectral_gains
     else:
-        gains = sig / (sig**2 + a)
+        gains = op.tikhonov_gains
     return op.domain_chol_inv @ (vt.T @ (gains * (u.T @ qh)).T)
+
+
+def _filter_gains(scheme: str, sig: np.ndarray, alphas) -> np.ndarray:
+    """The K x r filter factors of spectral or tikhonov on the singular
+    values `sig`, one row per alpha."""
+    a = np.asarray(alphas, dtype=float)[:, None]
+    if scheme == "spectral":
+        keep = sig >= a
+        return np.divide(1.0, sig, out=np.zeros(keep.shape), where=keep)
+    return sig / (sig**2 + a)
 
 
 def tikhonov_reconstruct(

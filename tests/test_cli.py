@@ -189,8 +189,10 @@ class TestMalformedInput:
         ("q", {"kind": "piecewise", "params": {"breaks": [0.0], "values": [1.0]}},
          "piecewise needs len(values) == len(breaks) + 1"),
         ("q.params.width", 0.0, "bump width must be positive"),
+        ("g", {"path": None}, "g.path must be a string"),
+        ("g", {"path": 3}, "g.path must be a string"),
     ], ids=["empty-intervals", "list-kind", "s-above-1", "unknown-kind", "piecewise-lengths",
-            "bump-width-0"])
+            "bump-width-0", "g-path-null", "g-path-number"])
     def test_refusal_states_its_rule(self, tmp_path, capsys, key, value, want):
         path = write_problem(tmp_path, with_field(base_problem(), key, value))
         out = tmp_path / "rep.json"
@@ -453,6 +455,18 @@ class TestMalformedInput:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: stop rule must be")
         assert 'scheme.stop_rule {"kind": "fixed_list"} or {"kind": "discrepancy"' in err[0]
+        assert not out.exists()
+
+    # a bare float() refused a malformed list by a line that named no flag
+    @pytest.mark.parametrize("text", ["1e-2,,1e-3", "", "abc"],
+                             ids=["empty-entry", "empty", "word"])
+    @pytest.mark.parametrize("verb, flag", [("reconstruct", "--alpha-list"),
+                                            ("stability", "--levels")])
+    def test_number_list_flag_names_itself(self, tmp_path, capsys, verb, flag, text):
+        path, out = write_problem(tmp_path, base_problem()), tmp_path / "out"
+        assert main([verb, path, str(out), flag, text]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {flag} entries must be numbers, got {text!r}"]
         assert not out.exists()
 
     def test_increasing_alpha_list_refused_before_the_forward_solve(

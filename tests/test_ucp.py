@@ -515,6 +515,41 @@ class TestMinimalL2Workspace:
             assert not getattr(ws, name).flags.writeable, name
 
 
+def fresh_pipeline_operator(mach, sets_pipeline):
+    """The pipeline operator on a new machinery, so nothing of it is kept yet."""
+    return fr.assemble_ucp(fr.build_sobolev(mach.box, mach.order), sets_pipeline)
+
+
+class TestKeptSchedule:
+    def test_schedule_and_gains_are_read_only_and_fresh(self, mach, sets_pipeline):
+        op = fresh_pipeline_operator(mach, sets_pipeline)
+        sig = op.sigmas
+        alphas = fr.default_alpha_schedule(float(sig[0]))
+        want = {"default_schedule": alphas,
+                "spectral_gains": np.where(sig >= alphas[:, None], 1.0 / sig, 0.0),
+                "tikhonov_gains": sig / (sig**2 + alphas[:, None])}
+        for name, fresh in want.items():
+            kept = getattr(op, name)
+            assert kept is getattr(op, name) and not kept.flags.writeable, name
+            assert kept.shape == fresh.shape and kept.tobytes() == fresh.tobytes(), name
+
+    # a factor matrix kept under the other scheme, or one matrix kept for
+    # both, gives the second scheme of one order the first scheme's iterates
+    @pytest.mark.parametrize("schemes", [("spectral", "tikhonov"), ("tikhonov", "spectral")],
+                             ids=["spectral-first", "tikhonov-first"])
+    def test_own_schedule_and_a_copy_give_identical_iterates(
+        self, mach, sets_pipeline, rng, schemes
+    ):
+        op = fresh_pipeline_operator(mach, sets_pipeline)
+        h = rng.standard_normal(op.n_window)
+        for scheme in schemes:
+            cfg = fr.RegularizerConfig(scheme=scheme)
+            kept = fr.solve_schedule(op, h, cfg, op.default_schedule)
+            assert f"{scheme}_gains" in vars(op)
+            fresh = fr.solve_schedule(op, h, cfg, op.default_schedule.copy())
+            assert kept.tobytes() == fresh.tobytes(), scheme
+
+
 # N = 4096 on the suite's box: both sides of each weighted matrix exceed
 # SVD_BLOCK, so its SVD takes the rank-adaptive path
 RANK_PATH_POINTS = 4096
