@@ -538,7 +538,7 @@ def _cmd_stability(args) -> int:
         seed=seed, alpha_schedule=run_cfg.alpha_schedule)
     fm = sweep.fitted_modulus
     _write_csv(args.out_csv, "noise_level,mean_error",
-               zip(sweep.noise_levels, sweep.recon_errors),
+               zip(levels, sweep.recon_errors),
                {"log_modulus_C": fm["C"], "log_modulus_sigma": fm["sigma"],
                 "log_modulus_residual": fm["residual"],
                 "power_law_residual": sweep.power_fit["residual"]})

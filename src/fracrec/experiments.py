@@ -61,18 +61,17 @@ class InstabilitySeries:
     k_values: np.ndarray
     vk: np.ndarray                # moment-annihilating sines on omega, row k - 1, unit L2 norm
     hk_norms: np.ndarray          # dual norms of their window traces
-    decay_fit: dict               # slope/intercept/r2 of log ||h_k|| vs k, k_fit, floor
+    decay_fit: dict               # slope/r2 of log ||h_k|| vs k, k_fit, floor
 
 
 @dataclass
 class StabilitySweep:
     """Reconstruction errors against noise level, with modulus fits."""
 
-    noise_levels: np.ndarray
     recon_errors: np.ndarray      # mean over trials, weaker-norm errors
     per_trial: np.ndarray         # levels x trials
     fitted_modulus: dict          # {"C", "sigma", "residual"}
-    power_fit: dict               # {"C", "p", "residual"}
+    power_fit: dict               # {"residual"} of log err vs log eta
     energy: float                 # Sobolev size of the exact unknown
 
 
@@ -98,15 +97,16 @@ def dirichlet_eigenfunctions(
     return out
 
 
-def _fit_loglinear(k: np.ndarray, values: np.ndarray) -> dict:
-    """Least-squares line through (k, log values); returns slope/intercept/r2."""
+def _fit_loglinear(x: np.ndarray, values: np.ndarray) -> dict:
+    """Least-squares line through (x, log values): its slope, its r2 and the
+    residual sum of squares r @ r, r = slope * x + intercept - log values."""
     logs = np.log(values)
-    slope, intercept = np.polyfit(k, logs, 1)
-    pred = slope * k + intercept
-    ss_res = float(np.sum((logs - pred) ** 2))
+    slope, intercept = np.polyfit(x, logs, 1)
+    r = slope * x + intercept - logs
+    ss_res = float(r @ r)
     ss_tot = float(np.sum((logs - logs.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return {"slope": float(slope), "intercept": float(intercept), "r2": r2}
+    return {"slope": float(slope), "r2": r2, "residual": ss_res}
 
 
 def make_instability_geometry(
@@ -197,9 +197,9 @@ def instability_series(
             f"fewer than two k in {lo}..{hi} have window norms above the "
             f"rounding floor {floor:.3e}"
         )
-    fit = _fit_loglinear(ks[sel], norms[sel])
-    fit["k_fit"] = [int(k) for k in ks[sel]]
-    fit["floor"] = float(floor)
+    line = _fit_loglinear(ks[sel], norms[sel])
+    fit = {"slope": line["slope"], "r2": line["r2"], "k_fit": [int(k) for k in ks[sel]],
+           "floor": float(floor)}
     return InstabilitySeries(k_values=ks, vk=vk, hk_norms=norms, decay_fit=fit)
 
 
@@ -236,14 +236,6 @@ def _fit_log_modulus(eta: np.ndarray, err: np.ndarray, energy: float) -> dict:
     return {"C": float(np.exp(ts[k])), "sigma": sigma, "residual": cost}
 
 
-def _fit_power_law(eta: np.ndarray, err: np.ndarray) -> dict:
-    """Fit err ~ C * eta^p: the least-squares line through (log eta, log err)."""
-    log_eta, log_err = np.log(eta), np.log(err)
-    p, log_c = np.polyfit(log_eta, log_err, 1)
-    resid = log_c + p * log_eta - log_err
-    return {"C": float(np.exp(log_c)), "p": float(p), "residual": float(resid @ resid)}
-
-
 def stability_sweep(
     op: UcpOperator,
     scheme: str,
@@ -262,8 +254,8 @@ def stability_sweep(
     Sobolev error.  Each (level, trial) pair owns its own seeded generator.
 
     Raises ValueError unless 0 <= s_prime < s (s_prime = 0 is the L2 norm),
-    trials >= 1, every level is finite and >= 0, and at least two levels
-    are positive (the fits need two points).
+    trials >= 1, every level is finite and >= 0, and at least two distinct
+    levels are positive (the fits need two points).
     """
     m = op.machinery
     if not (0.0 <= s_prime < m.order.s):
@@ -273,8 +265,8 @@ def stability_sweep(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not np.all(np.isfinite(noise_levels) & (noise_levels >= 0)):
         raise ValueError("noise levels must be finite and >= 0")
-    if np.count_nonzero(noise_levels > 0) < 2:
-        raise ValueError("the noise ladder needs at least two positive levels")
+    if len(np.unique(noise_levels[noise_levels > 0])) < 2:
+        raise ValueError("the noise ladder needs at least two distinct positive levels")
     if alpha_schedule is None:
         # the sweep must resolve noise floors far below the pipeline default
         alpha_schedule = default_alpha_schedule(op.sigmas[0], kmax=48, step=0.25)
@@ -315,11 +307,10 @@ def stability_sweep(
     eta = noise_levels[pos] * h_norm
     err = mean_errors[pos]
     return StabilitySweep(
-        noise_levels=noise_levels,
         recon_errors=mean_errors,
         per_trial=per_trial,
         fitted_modulus=_fit_log_modulus(eta, err, energy),
-        power_fit=_fit_power_law(eta, err),
+        power_fit={"residual": _fit_loglinear(np.log(eta), err)["residual"]},
         energy=energy,
     )
 

@@ -17,7 +17,7 @@ grid, with optional seeded additive Gaussian noise.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,10 +74,10 @@ class ReconstructionReport:
     u: GridFunction               # f + v
     q_rec: np.ndarray             # per-omega-node values, NaN where masked
     nodal_mask: np.ndarray        # True where the quotient was suppressed
-    residuals: list = field(default_factory=list)  # per-alpha trace rows
-    scheme_used: RegularizerConfig | None = None
-    mask_fraction: float = 0.0
-    tau: float = 1e-3
+    residuals: list               # per-alpha trace rows
+    scheme_used: RegularizerConfig
+    mask_fraction: float
+    tau: float
 
 
 def measurement_to_h(

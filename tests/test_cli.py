@@ -743,6 +743,17 @@ class TestEntryPoint:
         proc = self.launch([sys.executable, "-c", script])
         assert (proc.returncode, proc.stdout.strip()) == (0, "[]"), proc.stderr
 
+    def test_reconstruct_leaves_the_experiments_unloaded(self, tmp_path):
+        # a whole reconstruct run, report written, still loads neither module
+        script = ("import sys; from fracrec.cli import main\n"
+                  "code = main(['reconstruct', sys.argv[1], sys.argv[2], '--quiet'])\n"
+                  "print(code, [m for m in sys.modules "
+                  "if m in ('fracrec.experiments', 'fracrec.svgplot')])\n")
+        out = tmp_path / "r.json"
+        proc = self.launch([sys.executable, "-c", script], str(EXAMPLE), str(out))
+        assert (proc.returncode, proc.stdout.strip()) == (0, f"{EXIT_OK} []"), proc.stderr
+        assert out.exists()
+
     def test_package_resolves_the_experiment_names_on_first_use(self):
         script = (
             "import json, sys, fracrec\n"
@@ -1205,7 +1216,9 @@ class TestStabilityCommand:
         ["--levels", "1e-2,-1e-4,1e-6"],
         ["--levels", "1e-2,nan,1e-6"],
         ["--levels", "0,1e-3"],
-    ], ids=["no-trials", "negative-level", "nan-level", "one-positive-level"])
+        ["--levels", "1e-3,1e-3"],
+    ], ids=["no-trials", "negative-level", "nan-level", "one-positive-level",
+            "one-distinct-level"])
     def test_malformed_noise_ladder_exits_1(self, tmp_path, capsys, extra):
         path = write_problem(tmp_path, base_problem())
         out = tmp_path / "st.csv"

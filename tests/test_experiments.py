@@ -127,6 +127,11 @@ class TestInstabilitySeries:
         with pytest.raises(ValueError, match=r"kmax 10 must be >= 11: .* two k in 10\.\.12"):
             fr.instability_series(m, sets, k_max=10)
 
+    def test_fit_holds_only_what_the_report_reads(self, shell13):
+        m, sets = shell13
+        series = fr.instability_series(m, sets, k_max=12)
+        assert set(series.decay_fit) == {"slope", "r2", "k_fit", "floor"}
+
     def test_scaled_norms_bounded_constant_reported(self, shell13):
         # max_k ||h_k|| 2^k is finite and reported per run
         m, sets = shell13
@@ -170,6 +175,21 @@ class TestStabilitySweep:
     def test_log_model_beats_power_law(self, sweep):
         assert sweep.fitted_modulus["sigma"] > 0
         assert sweep.fitted_modulus["residual"] < sweep.power_fit["residual"]
+
+    def test_power_residual_is_the_log_log_line_s(self, op_pipeline):
+        # the sweep fits against log(eta * ||h||); that shift of the abscissa
+        # leaves the residual of the least-squares line unchanged
+        levels = np.array([0.0, 1e-2, 1e-3, 1e-5, 1e-7])
+        sweep = fr.stability_sweep(op_pipeline, "spectral", 2, levels, 0.25, seed=5)
+        pos = levels > 0
+        x, y = np.log(levels[pos]), np.log(sweep.recon_errors[pos])
+        r = np.polyval(np.polyfit(x, y, 1), x) - y
+        assert set(sweep.power_fit) == {"residual"}
+        assert sweep.power_fit["residual"] == pytest.approx(float(r @ r), rel=1e-9)
+
+    def test_repeated_level_is_one_level(self, op_pipeline):
+        with pytest.raises(ValueError, match="two distinct positive levels"):
+            fr.stability_sweep(op_pipeline, "spectral", 1, np.array([0.0, 1e-3, 1e-3]), 0.25)
 
     def test_seeded_determinism(self, op_pipeline):
         sigma1 = float(np.linalg.norm(op_pipeline.weighted, 2))

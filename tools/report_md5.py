@@ -9,6 +9,12 @@ byte-identical reports.  On ``problem.example.json``: ``forward``,
 ``reconstruct``, ``spectrum --plot`` (CSV and SVG), ``instability --R 13``
 and ``stability --trials 3``; on the example with ``noise.level`` 1e-4:
 ``reconstruct --scheme`` for each scheme, and ``compare``.
+
+The large-N runs take the paths that start above 64 nodes: the rank-adaptive
+SVD and the recursion in ``tril_inverse``.  On the example at ``box.points``
+4096 and ``noise.level`` 1e-4, with noise seeds 276102407 and 287335974:
+``reconstruct --scheme`` spectral and tikhonov.  On the example at
+``box.points`` 16384 without noise: ``reconstruct``.
 """
 
 import hashlib
@@ -21,11 +27,25 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE = os.path.join(ROOT, "problem.example.json")
 SCHEMES = ("spectral", "tikhonov", "minimal_l2")
+LARGE_SEEDS = (276102407, 287335974)
 
 
-def children(noisy: str) -> list:
+def variant(out: str, name: str, points: int, level: float, seed: int) -> str:
+    """The example with other ``box.points`` and ``noise``, written to out/name."""
+    with open(EXAMPLE, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["box"]["points"] = points
+    doc["noise"] = {"level": level, "seed": seed}
+    path = os.path.join(out, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def children(out: str) -> list:
     """Per child: its command line.  Inputs are absolute paths, and each
     report is a bare file name in the child's working directory."""
+    noisy = variant(out, "noisy.json", 512, 1e-4, 1)
     return [
         ["forward", EXAMPLE, "forward.json"],
         ["reconstruct", EXAMPLE, "reconstruct.json"],
@@ -34,19 +54,17 @@ def children(noisy: str) -> list:
         ["stability", EXAMPLE, "stability.csv", "--trials", "3"],
         *(["reconstruct", noisy, f"noisy-{s}.json", "--scheme", s] for s in SCHEMES),
         ["compare", noisy, "noisy-compare.csv"],
+        *(["reconstruct", variant(out, f"n4096-{seed}.json", 4096, 1e-4, seed),
+            f"n4096-{seed}-{s}.json", "--scheme", s]
+          for seed in LARGE_SEEDS for s in ("spectral", "tikhonov")),
+        ["reconstruct", variant(out, "n16384.json", 16384, 0.0, 1), "n16384-report.json"],
     ]
 
 
 def main() -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), OPENBLAS_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as out:
-        with open(EXAMPLE, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        doc["noise"]["level"] = 1e-4
-        noisy = os.path.join(out, "noisy.json")
-        with open(noisy, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        for argv in children(noisy):
+        for argv in children(out):
             subprocess.run([sys.executable, "-m", "fracrec.cli", *argv, "--quiet"],
                            env=env, cwd=out, check=True)
             for name in argv[1:]:
