@@ -6,12 +6,12 @@ functions of increasing index k and records the dual-norm size of the trace
 on a far two-component shell window, together with a least squares fit of
 log-norm against k.  The k-th function is the interval sine of frequency k
 made orthogonal to all polynomials of degree < k on each parity class of the
-interior nodes.  Far from the interior the collocation matrix is a smooth
-kernel on each offset parity (a checkerboard from the symbol's kink at the
-Nyquist frequency), so those vanishing moments remove the first k terms of
-the far-field expansion and the trace decays like (2(R - 1))^-k at shell
-radius R.  Plain interval sines keep O(1/k) low moments and decay only
-algebraically.
+interior nodes; those spans nest in k, so one QR serves every k.  Far from
+the interior the collocation matrix is a smooth kernel on each offset parity
+(a checkerboard from the symbol's kink at the Nyquist frequency), so those
+vanishing moments remove the first k terms of the far-field expansion and
+the trace decays like (2(R - 1))^-k at shell radius R.  Plain interval sines
+keep O(1/k) low moments and decay only algebraically.
 
 The stability sweep perturbs exact window data with seeded noise at a
 ladder of levels, reconstructs with a configurable scheme, measures errors
@@ -92,9 +92,7 @@ def dirichlet_eigenfunctions(
     h = m.box.spacing
     a, b = x[0] - h / 2.0, x[-1] + h / 2.0
     out = np.sin(np.arange(1, k_max + 1)[:, None] * np.pi * (x - a) / (b - a))
-    for row in out:
-        row /= np.sqrt(h * np.sum(row**2))
-    return out
+    return out / np.sqrt(h * np.sum(out**2, axis=1, keepdims=True))
 
 
 def _fit_loglinear(x: np.ndarray, values: np.ndarray) -> dict:
@@ -129,15 +127,6 @@ def make_instability_geometry(
     return m, sets
 
 
-def _moment_free(vals: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
-    """Orthogonal projection of `vals` onto the vectors whose moments y^p,
-    p < degree, vanish on the even and, separately, the odd positions."""
-    basis = np.polynomial.legendre.legvander(y, degree - 1)  # same span as y^p
-    even = (np.arange(len(y)) % 2 == 0)[:, None]
-    q, _ = np.linalg.qr(np.hstack([basis * even, basis * ~even]))
-    return vals - q @ (q.T @ vals)
-
-
 def instability_series(
     m: SobolevMachinery,
     sets: IndexSets,
@@ -148,6 +137,8 @@ def instability_series(
     v_k is the k-th interval sine of `dirichlet_eigenfunctions` projected
     onto the functions whose discrete moments y^p, p < k, vanish on the
     even and on the odd omega nodes, and rescaled to unit interior L2 norm.
+    One QR of the parity-split Legendre basis in degree order (even p0, odd
+    p0, even p1, ...) serves every k: the first 2k columns of Q span p < k.
     h_k is the fractional Laplacian of v_k restricted to the window (both
     shell components), measured in the dual Sobolev norm.
 
@@ -179,15 +170,15 @@ def instability_series(
     h = m.box.spacing
     x = m.box.nodes[om]
     y = (x - 0.5 * (x[0] + x[-1])) / (0.5 * (x[-1] - x[0] + h))
-    grid = np.zeros(m.box.size)  # carries each v_k, zero off omega, into its product
-    traces = []
-    for k, row in enumerate(vk, start=1):
-        v = _moment_free(row, y, k)
-        row[:] = grid[om] = v / np.sqrt(h * np.sum(v**2))
-        traces.append(m.frac_lap.rows(sets.w2, grid))
+    basis = np.polynomial.legendre.legvander(y, k_max - 1)  # same span as y^p
+    even = (np.arange(len(y)) % 2 == 0)[:, None]
+    onb, _ = np.linalg.qr(np.stack([basis * even, basis * ~even], axis=2).reshape(len(y), -1))
     ks = np.arange(1, k_max + 1)
+    vk -= (vk @ onb * (np.arange(2 * k_max) < 2 * ks[:, None])) @ onb.T
+    vk /= np.sqrt(h * np.sum(vk**2, axis=1, keepdims=True))
+    traces = m.frac_lap[sets.w2[:, None], om] @ vk.T  # one column per k
     q = m.dual_weight(sets.w2)  # one Gram factor serves every dual norm below
-    norms = np.array([np.linalg.norm(q @ t) for t in traces])
+    norms = np.linalg.norm(q @ traces, axis=0)
     # ||v_k|| = 1/sqrt(h) for every k, so the floor is one number per series
     per_node = np.finfo(float).eps * np.linalg.norm(m.frac_lap.col) / np.sqrt(h * m.box.size)
     floor = per_node * np.linalg.norm(q @ np.ones(len(sets.w2)))
@@ -212,12 +203,14 @@ def _fit_log_modulus(eta: np.ndarray, err: np.ndarray, energy: float) -> dict:
     sigma > 0).  Only t is searched: a scan of [t0, t0 + 50], where
     t0 = log(max eta / E) puts every C E / eta at or above 1, then repeated
     finer scans of the cell around the best point, down to a width of 1e-12.
+    log log(C E/eta) is log(t + log E - log eta): no ratio C E / eta is
+    formed, so a ladder down to subnormal eta does not overflow.
     """
-    log_e, log_err = np.log(energy), np.log(err)
+    log_e, log_eta, log_err = np.log(energy), np.log(eta), np.log(err)
 
     def profile(t: float) -> tuple[float, float]:  # (sum of squares, sigma)
         a = t + log_e - log_err
-        l = np.log(np.log(np.maximum(np.exp(t) * energy / eta, 1.0 + 1e-9)))
+        l = np.log(np.maximum(t + log_e - log_eta, np.log1p(1e-9)))
         sigma = max(float(a @ l) / float(l @ l), np.finfo(float).tiny)
         r = a - sigma * l
         return float(r @ r), sigma
@@ -254,8 +247,9 @@ def stability_sweep(
     Sobolev error.  Each (level, trial) pair owns its own seeded generator.
 
     Raises ValueError unless 0 <= s_prime < s (s_prime = 0 is the L2 norm),
-    trials >= 1, every level is finite and >= 0, and at least two distinct
-    levels are positive (the fits need two points).
+    trials >= 1, every level is finite and >= 0, at least two distinct
+    levels are positive (the fits need two points), and no positive level
+    underflows to eta = level * ||h|| = 0.
     """
     m = op.machinery
     if not (0.0 <= s_prime < m.order.s):
@@ -279,6 +273,9 @@ def stability_sweep(
     energy = hs_norm(m, truth)
     h_exact = op.apply(truth)
     h_norm = op.dual_norm(h_exact)
+    under = noise_levels[(noise_levels > 0) & (noise_levels * h_norm == 0)]
+    if len(under):
+        raise ValueError(f"noise level {under[0]:g} times ||h|| = {h_norm:.6g} underflows to 0")
 
     def weak_err(v: GridFunction) -> float:
         d = v.values - truth.values

@@ -8,8 +8,9 @@ LAPACK's full SVD as the oracle of the operator's rank-adaptive one, the
 one-alpha truncated SVD, the scalar one-alpha-at-a-time minimal-L2 solver,
 the trace rows' norms by np.linalg.norm, the quotient by boolean-mask
 gathers, window data synthesized on a 2x finer grid, the Runge
-approximation of an interior target by forward states, and
-nearest-neighbor infill of masked quotient nodes."""
+approximation of an interior target by forward states, nearest-neighbor
+infill of masked quotient nodes, and the decay series with its own
+moment-free projection and full-grid product per k."""
 
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from fracrec import (
     build_box,
     build_index_sets,
     build_sobolev,
+    dirichlet_eigenfunctions,
     solve_dirichlet,
     solve_schedule,
     synthetic_measurement,
@@ -433,3 +435,32 @@ def infill_nearest(
     for i in np.nonzero(mask)[0]:
         out[i] = q_vals[good[np.argmin(np.abs(good - i))]]
     return out
+
+
+def moment_free(vals: np.ndarray, y: np.ndarray, degree: int) -> np.ndarray:
+    """Orthogonal projection of `vals` onto the vectors whose moments y^p,
+    p < degree, vanish on the even and, separately, the odd positions."""
+    basis = np.polynomial.legendre.legvander(y, degree - 1)  # same span as y^p
+    even = (np.arange(len(y)) % 2 == 0)[:, None]
+    q, _ = np.linalg.qr(np.hstack([basis * even, basis * ~even]))
+    return vals - q @ (q.T @ vals)
+
+
+def instability_series_per_k(
+    m: SobolevMachinery, sets: IndexSets, k_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The decay series' v_k rows and window dual norms, one QR of the
+    parity-split basis of degree < k and one full-grid product per k."""
+    vk = dirichlet_eigenfunctions(m, sets, k_max)
+    om = sets.omega
+    h = m.box.spacing
+    x = m.box.nodes[om]
+    y = (x - 0.5 * (x[0] + x[-1])) / (0.5 * (x[-1] - x[0] + h))
+    grid = np.zeros(m.box.size)  # carries each v_k, zero off omega, into its product
+    q = m.dual_weight(sets.w2)
+    norms = []
+    for k, row in enumerate(vk, start=1):
+        v = moment_free(row, y, k)
+        row[:] = grid[om] = v / np.sqrt(h * np.sum(v**2))
+        norms.append(np.linalg.norm(q @ m.frac_lap.rows(sets.w2, grid)))
+    return vk, np.array(norms)

@@ -1217,8 +1217,9 @@ class TestStabilityCommand:
         ["--levels", "1e-2,nan,1e-6"],
         ["--levels", "0,1e-3"],
         ["--levels", "1e-3,1e-3"],
+        ["--levels", "5e-324,1e-300"],
     ], ids=["no-trials", "negative-level", "nan-level", "one-positive-level",
-            "one-distinct-level"])
+            "one-distinct-level", "underflowing-level"])
     def test_malformed_noise_ladder_exits_1(self, tmp_path, capsys, extra):
         path = write_problem(tmp_path, base_problem())
         out = tmp_path / "st.csv"
@@ -1227,6 +1228,16 @@ class TestStabilityCommand:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not out.exists()
 
+    def test_subnormal_level_writes_finite_fits_quietly(self, tmp_path, capsys):
+        path = write_problem(tmp_path, base_problem())
+        out = tmp_path / "st.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["stability", path, str(out), "--trials", "1",
+                         "--levels", "1e-320,1e-4"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        footer = [l.split(",") for l in out.read_text().splitlines() if l.startswith("#")]
+        assert len(footer) == 4 and np.isfinite([float(v) for _, v in footer]).all()
 
     def test_negative_s_prime_exits_1(self, tmp_path, capsys):
         path = write_problem(tmp_path, base_problem())

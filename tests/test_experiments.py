@@ -7,6 +7,7 @@ import pytest
 
 import fracrec as fr
 import fracrec.experiments as experiments
+import reference as ref
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +133,23 @@ class TestInstabilitySeries:
         series = fr.instability_series(m, sets, k_max=12)
         assert set(series.decay_fit) == {"slope", "r2", "k_fit", "floor"}
 
+    @pytest.mark.parametrize("s", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("n", [1024, 2048, 4096])
+    @pytest.mark.parametrize("radius", [13.0, 20.0])
+    def test_matches_per_k_projection(self, radius, n, s):
+        # one QR of nested spans against one QR and one full-grid product per k
+        m, sets = fr.make_instability_geometry(radius, s, points=n)
+        lo, hi = experiments.DECAY_FIT_RANGE
+        for k_max in (3, 8, 12):
+            series = fr.instability_series(m, sets, k_max=k_max)
+            vk, norms = ref.instability_series_per_k(m, sets, k_max)
+            assert np.abs(series.vk - vk).max() <= 1e-13 * np.abs(vk).max()
+            ks = series.k_values
+            k_fit = ks[(ks >= lo) & (ks <= hi) & (norms > series.decay_fit["floor"])]
+            assert series.decay_fit["k_fit"] == k_fit.tolist()
+            slope = np.polyfit(k_fit, np.log(norms[k_fit - 1]), 1)[0]
+            assert series.decay_fit["slope"] == pytest.approx(slope, rel=1e-4)
+
     def test_scaled_norms_bounded_constant_reported(self, shell13):
         # max_k ||h_k|| 2^k is finite and reported per run
         m, sets = shell13
@@ -190,6 +208,14 @@ class TestStabilitySweep:
     def test_repeated_level_is_one_level(self, op_pipeline):
         with pytest.raises(ValueError, match="two distinct positive levels"):
             fr.stability_sweep(op_pipeline, "spectral", 1, np.array([0.0, 1e-3, 1e-3]), 0.25)
+
+    def test_underflowing_level_is_refused_before_any_trial(self, op_pipeline, monkeypatch):
+        # 5e-324 * ||h|| rounds to 0 for ||h|| < 1/2
+        solves = []
+        monkeypatch.setattr(experiments, "recover_interior", lambda *a: solves.append(a))
+        with pytest.raises(ValueError, match=r"noise level 4\.94066e-324 .* underflows to 0"):
+            fr.stability_sweep(op_pipeline, "spectral", 1, np.array([1e-3, 5e-324]), 0.25)
+        assert solves == []
 
     def test_seeded_determinism(self, op_pipeline):
         sigma1 = float(np.linalg.norm(op_pipeline.weighted, 2))

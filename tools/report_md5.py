@@ -6,15 +6,19 @@ Each report is written by a ``python -m fracrec.cli`` child that imports the
 package from this checkout's ``src/``, with ``OPENBLAS_NUM_THREADS=1``, into
 a temporary directory.  Two checkouts that print the same lines write
 byte-identical reports.  On ``problem.example.json``: ``forward``,
-``reconstruct``, ``spectrum --plot`` (CSV and SVG), ``instability --R 13``
-and ``stability --trials 3``; on the example with ``noise.level`` 1e-4:
-``reconstruct --scheme`` for each scheme, and ``compare``.
+``reconstruct``, ``spectrum --plot`` (CSV and SVG), ``instability --R 13``,
+``stability --trials 3``, and ``stability --trials 1 --levels 1e-320,1e-4``,
+a ladder down to a subnormal noise level; on the example with
+``noise.level`` 1e-4: ``reconstruct --scheme`` for each scheme, and
+``compare``.
 
 The large-N runs take the paths that start above 64 nodes: the rank-adaptive
 SVD and the recursion in ``tril_inverse``.  On the example at ``box.points``
 4096 and ``noise.level`` 1e-4, with noise seeds 276102407 and 287335974:
 ``reconstruct --scheme`` spectral and tikhonov.  On the example at
-``box.points`` 16384 without noise: ``reconstruct``.
+``box.points`` 16384 without noise: ``reconstruct``.  And the decay series
+at 16384 nodes and 40 oscillating sources: ``instability --R 13 --N 16384
+--kmax 40``.
 """
 
 import hashlib
@@ -52,12 +56,15 @@ def children(out: str) -> list:
         ["spectrum", EXAMPLE, "spectrum.csv", "--plot", "spectrum.svg"],
         ["instability", "instability.csv", "--R", "13"],
         ["stability", EXAMPLE, "stability.csv", "--trials", "3"],
+        ["stability", EXAMPLE, "stability-subnormal.csv", "--trials", "1",
+         "--levels", "1e-320,1e-4"],
         *(["reconstruct", noisy, f"noisy-{s}.json", "--scheme", s] for s in SCHEMES),
         ["compare", noisy, "noisy-compare.csv"],
         *(["reconstruct", variant(out, f"n4096-{seed}.json", 4096, 1e-4, seed),
             f"n4096-{seed}-{s}.json", "--scheme", s]
           for seed in LARGE_SEEDS for s in ("spectral", "tikhonov")),
         ["reconstruct", variant(out, "n16384.json", 16384, 0.0, 1), "n16384-report.json"],
+        ["instability", "instability-n16384.csv", "--R", "13", "--N", "16384", "--kmax", "40"],
     ]
 
 
